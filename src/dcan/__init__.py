@@ -1,15 +1,15 @@
 """Dynamic contextual attention classifier with a from-scratch autograd core."""
 
 from .attention import AttentionMaps, DcaConfig, dca_forward
-from .autograd import Parameter, Tape, Tensor, backward, grad_check
+from .autograd import Tape, Tensor, backward, grad_check
 from .model import BackboneConfig, DcaModel, HeadConfig
-from .optim import AdamWConfig, adamw_step, cross_entropy, unit_norm_project
+from .optim import AdamWConfig, AdamWState, adamw_step, cross_entropy, unit_norm_project
 from .train import RunConfig
 
 __all__ = [
     "AttentionMaps", "DcaConfig", "dca_forward",
-    "Parameter", "Tape", "Tensor", "backward", "grad_check",
+    "Tape", "Tensor", "backward", "grad_check",
     "BackboneConfig", "DcaModel", "HeadConfig",
-    "AdamWConfig", "adamw_step", "cross_entropy", "unit_norm_project",
+    "AdamWConfig", "AdamWState", "adamw_step", "cross_entropy", "unit_norm_project",
     "RunConfig",
 ]

@@ -11,12 +11,12 @@ parameters are never touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import (Parameter, ShapeError, Tensor, conv2d, elementwise,
-                       relu, sigmoid, spatial_softmax)
+from .autograd import (ShapeError, Tensor, conv2d, elementwise, relu, sigmoid,
+                       spatial_softmax)
 
 
 @dataclass
@@ -57,27 +57,28 @@ class AttentionMaps:
         return out
 
 
-def _uniform_kernel(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+    """Zero-mean uniform draw bounded by 1/sqrt(fan_in)."""
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_dca_params(config: DcaConfig, rng: np.random.Generator) -> dict[str, Parameter]:
+def init_dca_params(config: DcaConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """Zero-mean uniform kernels scaled by 1/sqrt(fan_in), zero biases."""
     d = config.channels
-    params = {}
+    arrays = {}
     if config.enable_spatial:
         k = config.spatial_kernel
-        params["spatial_w"] = Parameter(_uniform_kernel(rng, (k, k, d, d), k * k * d))
-        params["spatial_b"] = Parameter(np.zeros(d))
+        arrays["spatial_w"] = uniform_init(rng, (k, k, d, d), k * k * d)
+        arrays["spatial_b"] = np.zeros(d)
     if config.enable_gated:
-        params["gate_w"] = Parameter(_uniform_kernel(rng, (1, 1, d, d), d))
-        params["gate_b"] = Parameter(np.zeros(d))
+        arrays["gate_w"] = uniform_init(rng, (1, 1, d, d), d)
+        arrays["gate_b"] = np.zeros(d)
     if config.enable_refine:
         k = config.refine_kernel
-        params["refine_w"] = Parameter(_uniform_kernel(rng, (k, k, d, d), k * k * d))
-        params["refine_b"] = Parameter(np.zeros(d))
-    return params
+        arrays["refine_w"] = uniform_init(rng, (k, k, d, d), k * k * d)
+        arrays["refine_b"] = np.zeros(d)
+    return {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
 
 
 def _check_channels(f: Tensor, config: DcaConfig):
@@ -88,29 +89,26 @@ def _check_channels(f: Tensor, config: DcaConfig):
                          f"config expects {config.channels}")
 
 
-def spatial_branch(f: Tensor, config: DcaConfig, params: dict[str, Parameter]) -> Tensor:
+def spatial_branch(f: Tensor, config: DcaConfig, params: dict[str, Tensor]) -> Tensor:
     _check_channels(f, config)
-    z = conv2d(f, params["spatial_w"].tensor, params["spatial_b"].tensor,
-               stride=1, padding="same")
+    z = conv2d(f, params["spatial_w"], params["spatial_b"], stride=1, padding="same")
     return spatial_softmax(relu(z))
 
 
-def gating_branch(f: Tensor, config: DcaConfig, params: dict[str, Parameter]) -> Tensor:
+def gating_branch(f: Tensor, config: DcaConfig, params: dict[str, Tensor]) -> Tensor:
     _check_channels(f, config)
-    z = conv2d(f, params["gate_w"].tensor, params["gate_b"].tensor,
-               stride=1, padding="same")
+    z = conv2d(f, params["gate_w"], params["gate_b"], stride=1, padding="same")
     return sigmoid(z)
 
 
-def refine_branch(f: Tensor, config: DcaConfig, params: dict[str, Parameter]) -> Tensor:
+def refine_branch(f: Tensor, config: DcaConfig, params: dict[str, Tensor]) -> Tensor:
     _check_channels(f, config)
-    z = conv2d(f, params["refine_w"].tensor, params["refine_b"].tensor,
-               stride=1, padding="same")
+    z = conv2d(f, params["refine_w"], params["refine_b"], stride=1, padding="same")
     return sigmoid(z)
 
 
 def dca_forward(f: Tensor, config: DcaConfig,
-                params: dict[str, Parameter]) -> tuple[Tensor, AttentionMaps]:
+                params: dict[str, Tensor]) -> tuple[Tensor, AttentionMaps]:
     """Apply the attention block; returns attended map plus all intermediates."""
     _check_channels(f, config)
     maps = AttentionMaps()

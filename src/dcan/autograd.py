@@ -18,8 +18,9 @@ class ShapeError(ValueError):
 class Tensor:
     """An n-dimensional float64 array with an optional gradient buffer.
 
-    Values are immutable by convention after creation; only `grad` mutates
-    during a backward pass.
+    A trainable parameter is a Tensor with requires_grad=True. Values are
+    immutable within a forward/backward pass, where only `grad` mutates; the
+    optimizer replaces a parameter's `data` between passes.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -47,30 +48,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-class Parameter:
-    """A trainable tensor plus AdamW moment accumulators and step counter."""
-
-    __slots__ = ("tensor", "m", "v", "step")
-
-    def __init__(self, data):
-        self.tensor = Tensor(data, requires_grad=True)
-        self.m = np.zeros_like(self.tensor.data)
-        self.v = np.zeros_like(self.tensor.data)
-        self.step = 0
-
-    @property
-    def data(self):
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value):
-        self.tensor.data = np.asarray(value, dtype=np.float64)
-
-    @property
-    def grad(self):
-        return self.tensor.grad
 
 
 class _Node:
@@ -241,14 +218,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def pointwise_activation(kind: str, x: Tensor) -> Tensor:
-    if kind == "relu":
-        return relu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    raise ValueError(f"unknown activation {kind!r}")
-
-
 def spatial_softmax(x: Tensor) -> Tensor:
     """Softmax over the H*W positions of each (sample, channel) slice."""
     if x.data.ndim != 4:
@@ -365,7 +334,7 @@ def tsum(x: Tensor) -> Tensor:
 # finite-difference gradient checking
 
 
-def grad_check(model_fn, params: dict[str, Parameter], h: float = 1e-5,
+def grad_check(model_fn, params: dict[str, Tensor], h: float = 1e-5,
                tol: float = 1e-4) -> dict:
     """Compare analytic gradients of model_fn() against central differences.
 
@@ -378,7 +347,7 @@ def grad_check(model_fn, params: dict[str, Parameter], h: float = 1e-5,
         loss = model_fn()
         base = float(loss.data)
     for p in params.values():
-        p.tensor.zero_grad()
+        p.zero_grad()
     backward(loss, tape)
     with Tape():
         if abs(float(model_fn().data) - base) > 1e-12 * max(1.0, abs(base)):
@@ -402,7 +371,7 @@ def grad_check(model_fn, params: dict[str, Parameter], h: float = 1e-5,
             worst = max(worst, rel)
         report[name] = worst
     for p in params.values():
-        p.tensor.zero_grad()
+        p.zero_grad()
     return {"per_parameter": report,
             "max_relative_error": max(report.values()) if report else 0.0,
             "passed": all(v < tol for v in report.values())}

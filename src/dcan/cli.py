@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import tempfile
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import DcaConfig, dca_forward
-from .autograd import Tape, Tensor, grad_check
+from .attention import DcaConfig
+from .autograd import Tensor, grad_check
 from .data import generate_synthetic, load_dataset
 from .imaging import read_ppm, resize_bilinear, clahe
 from .metrics import EvalReport
@@ -82,13 +83,9 @@ def cmd_ablate(config: RunConfig) -> None:
     samples = load_dataset(config.data_dir)
     lines = ["spatial,gated,refinement,accuracy,precision,recall,f1,kappa"]
     for spatial, gated, refine in ABLATION_ROWS:
-        cfg = RunConfig(**{**config.__dict__,
-                           "dca": DcaConfig(channels=config.dca.channels,
-                                            spatial_kernel=config.dca.spatial_kernel,
-                                            refine_kernel=config.dca.refine_kernel,
-                                            enable_spatial=spatial,
-                                            enable_gated=gated,
-                                            enable_refine=refine)})
+        dca = dataclasses.replace(config.dca, enable_spatial=spatial, enable_gated=gated,
+                                  enable_refine=refine)
+        cfg = dataclasses.replace(config, dca=dca)
         report, _ = run_cross_validation(samples, cfg, threads=_threads())
         cells = [f"{report.mean(n):.6f}±{report.std(n):.6f}"
                  for n in ("accuracy", "precision", "recall", "f1", "kappa")]
@@ -108,9 +105,8 @@ def cmd_explain(config: RunConfig, checkpoint: str, image_path: str) -> None:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     export_heatmap(gradcam_pp(model, x, target), base, out / "gradcam.ppm")
-    for name in ("f_s", "f_g", "f_c", "f_a", "f_r"):
-        if getattr(maps, name) is not None:
-            export_heatmap(attention_heatmap(maps, name, size), base, out / f"{name}.ppm")
+    for name in maps.named():
+        export_heatmap(attention_heatmap(maps, name, size), base, out / f"{name}.ppm")
     print(f"predicted class {target} (p={probs.data[0, target]:.4f}); overlays in {out}")
 
 
@@ -127,7 +123,7 @@ def cmd_gradcheck(config: RunConfig) -> None:
     rng = np.random.default_rng(37)
     model = DcaModel(backbone, dca, head, rng)
     for p in model.params.values():
-        p.tensor.data = rng.normal(0.0, 0.4, size=p.data.shape)
+        p.data = rng.normal(0.0, 0.4, size=p.data.shape)
     x = rng.random((1, 16, 16, 3))
     onehot = np.zeros((1, head.num_classes))
     onehot[0, 0] = 1.0

@@ -14,10 +14,8 @@ import numpy as np
 
 from .attention import AttentionMaps, dca_forward
 from .autograd import Tape, Tensor, backward, elementwise, tsum
-from .imaging import Image, write_ppm
+from .imaging import Image, bilinear, write_ppm
 from .model import DcaModel
-
-PROVENANCES = ("gradcam++", "f_s", "f_g", "f_c", "f_a", "f_r")
 
 
 @dataclass
@@ -32,22 +30,6 @@ class Heatmap:
 def _normalize(values: np.ndarray) -> np.ndarray:
     peak = values.max()
     return values / peak if peak > 0 else values
-
-
-def _upscale(values: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Bilinear upscale with half-pixel centers (float field)."""
-    h, w = values.shape
-    ys = np.clip((np.arange(height) + 0.5) * (h / height) - 0.5, 0, h - 1)
-    xs = np.clip((np.arange(width) + 0.5) * (w / width) - 0.5, 0, w - 1)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    top = values[y0][:, x0] * (1 - wx) + values[y0][:, x1] * wx
-    bot = values[y1][:, x0] * (1 - wx) + values[y1][:, x1] * wx
-    return top * (1 - wy) + bot * wy
 
 
 def gradcam_weights(activations: np.ndarray, gradients: np.ndarray) -> np.ndarray:
@@ -81,13 +63,13 @@ def gradcam_pp(model: DcaModel, image: Tensor, target_class: int) -> Heatmap:
     backward(score, tape)
     grads = f_dca.grad.copy() if f_dca.grad is not None else np.zeros_like(f_dca.data)
     for p in model.params.values():
-        p.tensor.zero_grad()
+        p.zero_grad()
 
     size = model.backbone.input_size
     if not np.any(grads):
         return Heatmap(size, size, np.zeros((size, size)), "gradcam++", flagged=True)
     raw = gradcam_map(f_dca.data[0], grads[0])
-    up = _upscale(raw, size, size)
+    up = bilinear(raw, size)
     return Heatmap(size, size, _normalize(up), "gradcam++",
                    flagged=not np.any(raw > 0))
 
@@ -98,7 +80,7 @@ def attention_heatmap(maps: AttentionMaps, name: str, size: int) -> Heatmap:
     if t is None:
         raise ValueError(f"attention map {name} absent (branch disabled)")
     raw = np.maximum(t.data[0].mean(axis=2), 0.0)
-    return Heatmap(size, size, _normalize(_upscale(raw, size, size)), name)
+    return Heatmap(size, size, _normalize(bilinear(raw, size)), name)
 
 
 def export_heatmap(heatmap: Heatmap, base_image: Image, out_path) -> None:

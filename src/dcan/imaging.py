@@ -107,23 +107,33 @@ def write_ppm(img: Image) -> bytes:
 # bilinear resize, half-pixel centers
 
 
+def bilinear(values: np.ndarray, target: int) -> np.ndarray:
+    """Resample a float [h, w, ...] array to [target, target, ...].
+
+    Source coordinates are clamped to the pixel grid before the floor, so a
+    border pixel is reproduced exactly rather than blended with itself.
+    """
+    h, w = values.shape[:2]
+    ys = np.clip((np.arange(target) + 0.5) * (h / target) - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(target) + 0.5) * (w / target) - 0.5, 0, w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    # weights broadcast over any trailing channel axes
+    wy = (ys - y0).reshape(-1, *[1] * (values.ndim - 1))
+    wx = (xs - x0).reshape(-1, *[1] * (values.ndim - 2))
+    top = values[y0][:, x0] * (1 - wx) + values[y0][:, x1] * wx
+    bot = values[y1][:, x0] * (1 - wx) + values[y1][:, x1] * wx
+    return top * (1 - wy) + bot * wy
+
+
 def resize_bilinear(img: Image, target: int) -> Image:
     if target < 1:
         raise ValueError("target size must be >= 1")
     if img.width < 1 or img.height < 1:
         raise ValueError("cannot resize an empty image")
-    src = img.pixels.astype(np.float64)
-    ys = (np.arange(target) + 0.5) * (img.height / target) - 0.5
-    xs = (np.arange(target) + 0.5) * (img.width / target) - 0.5
-    y0 = np.clip(np.floor(ys).astype(int), 0, img.height - 1)
-    x0 = np.clip(np.floor(xs).astype(int), 0, img.width - 1)
-    y1 = np.minimum(y0 + 1, img.height - 1)
-    x1 = np.minimum(x0 + 1, img.width - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    top = src[y0][:, x0] * (1 - wx) + src[y0][:, x1] * wx
-    bot = src[y1][:, x0] * (1 - wx) + src[y1][:, x1] * wx
-    out = top * (1 - wy) + bot * wy
+    out = bilinear(img.pixels.astype(np.float64), target)
     pixels = np.clip(np.rint(out), 0, 255).astype(np.uint8)
     return Image(target, target, img.channels, pixels)
 

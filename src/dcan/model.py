@@ -13,13 +13,20 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .attention import AttentionMaps, DcaConfig, dca_forward, init_dca_params
-from .autograd import (Parameter, ShapeError, Tensor, conv2d, dense, dropout,
-                       global_average_pool, relu, softmax_rows)
+from .attention import AttentionMaps, DcaConfig, dca_forward, init_dca_params, uniform_init
+from .autograd import (ShapeError, Tensor, conv2d, dense, dropout, global_average_pool, relu,
+                       softmax_rows)
 from .optim import unit_norm_project
 
 CHECKPOINT_MAGIC = b"DCAM"
 CHECKPOINT_VERSION = 1
+
+
+class CheckpointError(ValueError):
+    """Malformed checkpoint; the message names the file and the byte offset."""
+
+    def __init__(self, path, offset: int, reason: str):
+        super().__init__(f"{path}: byte {offset}: {reason}")
 
 
 @dataclass
@@ -62,11 +69,6 @@ class HeadConfig:
             raise ValueError("num_classes must be >= 2")
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
 class DcaModel:
     """Backbone -> attention block -> head, with a flat named parameter dict."""
 
@@ -78,22 +80,23 @@ class DcaModel:
         self.backbone = backbone
         self.dca = dca
         self.head = head
-        self.params: dict[str, Parameter] = {}
+        self.params: dict[str, Tensor] = {}
 
         k = backbone.kernel
         cin = 3
         for i, (cout, _) in enumerate(backbone.blocks):
-            self.params[f"backbone{i}_w"] = Parameter(_uniform(rng, (k, k, cin, cout), k * k * cin))
-            self.params[f"backbone{i}_b"] = Parameter(np.zeros(cout))
+            self.params[f"backbone{i}_w"] = Tensor(uniform_init(rng, (k, k, cin, cout), k * k * cin),
+                                                   requires_grad=True)
+            self.params[f"backbone{i}_b"] = Tensor(np.zeros(cout), requires_grad=True)
             cin = cout
         for name, p in init_dca_params(dca, rng).items():
             self.params[f"dca_{name}"] = p
-        d = backbone.feature_channels
-        self.params["head_w1"] = Parameter(_uniform(rng, (d, head.hidden_units), d))
-        self.params["head_b1"] = Parameter(np.zeros(head.hidden_units))
-        self.params["head_w2"] = Parameter(_uniform(rng, (head.hidden_units, head.num_classes),
-                                                    head.hidden_units))
-        self.params["head_b2"] = Parameter(np.zeros(head.num_classes))
+        d, units = backbone.feature_channels, head.hidden_units
+        for name, a in (("head_w1", uniform_init(rng, (d, units), d)),
+                        ("head_b1", np.zeros(units)),
+                        ("head_w2", uniform_init(rng, (units, head.num_classes), units)),
+                        ("head_b2", np.zeros(head.num_classes))):
+            self.params[name] = Tensor(a, requires_grad=True)
         if head.unit_norm:
             self.project_unit_norm()
 
@@ -102,7 +105,7 @@ class DcaModel:
             unit_norm_project(self.params["head_w1"])
             unit_norm_project(self.params["head_w2"])
 
-    def dca_params(self) -> dict[str, Parameter]:
+    def dca_params(self) -> dict[str, Tensor]:
         return {k[len("dca_"):]: v for k, v in self.params.items() if k.startswith("dca_")}
 
     # ------------------------------------------------------------------
@@ -118,18 +121,16 @@ class DcaModel:
             raise ShapeError(f"backbone expects 3 input channels, got {c}")
         x = image
         for i, (_, stride) in enumerate(self.backbone.blocks):
-            x = relu(conv2d(x, self.params[f"backbone{i}_w"].tensor,
-                            self.params[f"backbone{i}_b"].tensor,
+            x = relu(conv2d(x, self.params[f"backbone{i}_w"], self.params[f"backbone{i}_b"],
                             stride=stride, padding="same"))
         return x
 
     def head_logits(self, f_dca: Tensor, training: bool = False,
                     rng: np.random.Generator | None = None) -> Tensor:
         pooled = global_average_pool(f_dca)
-        hidden = relu(dense(pooled, self.params["head_w1"].tensor,
-                            self.params["head_b1"].tensor))
+        hidden = relu(dense(pooled, self.params["head_w1"], self.params["head_b1"]))
         dropped = dropout(hidden, self.head.dropout_rate, training, rng)
-        return dense(dropped, self.params["head_w2"].tensor, self.params["head_b2"].tensor)
+        return dense(dropped, self.params["head_w2"], self.params["head_b2"])
 
     def head_forward(self, f_dca: Tensor, training: bool = False,
                      rng: np.random.Generator | None = None) -> Tensor:
@@ -167,25 +168,44 @@ class DcaModel:
     @classmethod
     def load(cls, path) -> "DcaModel":
         with open(path, "rb") as fh:
-            raw = fh.read()
-        if raw[:4] != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a model checkpoint: bad magic {raw[:4]!r}")
-        (version,) = struct.unpack_from("<I", raw, 4)
+            raw = memoryview(fh.read())
+
+        def read(off: int, size: int, what: str) -> memoryview:
+            chunk = raw[off:off + size]
+            if len(chunk) < size:
+                raise CheckpointError(path, off, f"truncated {what}: need {size} bytes, "
+                                                 f"have {len(chunk)}")
+            return chunk
+
+        if read(0, 4, "magic") != CHECKPOINT_MAGIC:
+            raise CheckpointError(path, 0, "not a model checkpoint: "
+                                           f"bad magic {raw[:4].tobytes()!r}")
+        (version,) = struct.unpack("<I", read(4, 4, "version"))
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (cfg_len,) = struct.unpack_from("<I", raw, 8)
-        cfg = json.loads(raw[12:12 + cfg_len].decode("utf-8"))
-        model = cls(BackboneConfig(**cfg["backbone"]), DcaConfig(**cfg["dca"]),
-                    HeadConfig(**cfg["head"]), rng=np.random.default_rng(0))
+            raise CheckpointError(path, 4, f"unsupported checkpoint version {version}")
+        (cfg_len,) = struct.unpack("<I", read(8, 4, "config length"))
+        cfg_bytes = read(12, cfg_len, "config").tobytes()
+        try:
+            cfg = json.loads(cfg_bytes.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise CheckpointError(path, 12, f"config is not UTF-8 JSON: {exc}") from None
+        if not isinstance(cfg, dict) or set(cfg) != {"backbone", "dca", "head"}:
+            raise CheckpointError(path, 12, "config must hold exactly the sections "
+                                            "backbone, dca and head")
+        try:
+            model = cls(BackboneConfig(**cfg["backbone"]), DcaConfig(**cfg["dca"]),
+                        HeadConfig(**cfg["head"]), rng=np.random.default_rng(0))
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(path, 12, f"bad config: {exc}") from None
         off = 12 + cfg_len
         for name, p in model.params.items():
-            (count,) = struct.unpack_from("<Q", raw, off)
+            (count,) = struct.unpack("<Q", read(off, 8, f"length of {name}"))
+            if count != p.size:
+                raise CheckpointError(path, off, f"blob for {name} has {count} values, "
+                                                 f"expected {p.size}")
             off += 8
-            if count != p.data.size:
-                raise ValueError(f"checkpoint blob for {name} has {count} values, expected {p.data.size}")
-            p.tensor.data = np.frombuffer(raw, dtype="<f8", count=count,
-                                          offset=off).reshape(p.data.shape).copy()
+            p.data = np.frombuffer(read(off, count * 8, name), dtype="<f8").reshape(p.shape).copy()
             off += count * 8
         if off != len(raw):
-            raise ValueError(f"checkpoint has {len(raw) - off} trailing bytes")
+            raise CheckpointError(path, off, f"{len(raw) - off} trailing bytes")
         return model

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Parameter, ShapeError, Tensor, _record
+from .autograd import ShapeError, Tensor, _record
 
 LOG_CLAMP = 1e-12  # keeps log finite on saturated softmax outputs
 
@@ -51,34 +51,41 @@ def cross_entropy(probabilities: Tensor, labels: np.ndarray) -> Tensor:
     return _record(out, (probabilities,), bwd)
 
 
-def adamw_step(params: dict[str, Parameter] | list[Parameter],
-               config: AdamWConfig) -> None:
+class AdamWState:
+    """AdamW first and second moments per parameter name, and their step count."""
+
+    def __init__(self, params: dict[str, Tensor]):
+        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        self.step = 0
+
+
+def adamw_step(params: dict[str, Tensor], state: AdamWState, config: AdamWConfig) -> None:
     """One decoupled-weight-decay Adam step; zeroes gradients afterwards."""
-    items = params.values() if isinstance(params, dict) else params
-    for p in items:
-        if p.grad is None:
-            raise ValueError("adamw_step: parameter has no gradient; run backward first")
+    missing = [name for name, p in params.items() if p.grad is None]
+    if missing:
+        raise ValueError(f"adamw_step: no gradient for {missing}; run backward first")
+    state.step += 1
+    for name, p in params.items():
         g = p.grad
-        p.step += 1
-        p.m = config.beta1 * p.m + (1.0 - config.beta1) * g
-        p.v = config.beta2 * p.v + (1.0 - config.beta2) * g * g
+        m = state.m[name] = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
+        v = state.v[name] = config.beta2 * state.v[name] + (1.0 - config.beta2) * g * g
         if config.bias_correction:
-            m_hat = p.m / (1.0 - config.beta1 ** p.step)
-            v_hat = p.v / (1.0 - config.beta2 ** p.step)
+            m_hat = m / (1.0 - config.beta1 ** state.step)
+            v_hat = v / (1.0 - config.beta2 ** state.step)
         else:
-            m_hat, v_hat = p.m, p.v
-        p.tensor.data = p.data - config.eta * (
+            m_hat, v_hat = m, v
+        p.data = p.data - config.eta * (
             m_hat / (np.sqrt(v_hat) + config.epsilon) + config.weight_decay * p.data)
-        p.tensor.zero_grad()
+        p.zero_grad()
 
 
-def unit_norm_project(weight: Parameter | Tensor) -> None:
+def unit_norm_project(weight: Tensor) -> None:
     """Rescale each column of a [Din, Dout] matrix to unit L2 norm, in place."""
-    t = weight.tensor if isinstance(weight, Parameter) else weight
-    if t.data.ndim != 2:
-        raise ShapeError(f"unit_norm_project expects a rank-2 matrix, got rank {t.data.ndim}")
-    norms = np.linalg.norm(t.data, axis=0)
+    if weight.data.ndim != 2:
+        raise ShapeError(f"unit_norm_project expects a rank-2 matrix, got rank {weight.data.ndim}")
+    norms = np.linalg.norm(weight.data, axis=0)
     dead = np.flatnonzero(norms <= 1e-12)
     if dead.size:
         raise ValueError(f"unit_norm_project: zero column(s) at {dead.tolist()} (dead unit)")
-    t.data = t.data / norms
+    weight.data = weight.data / norms

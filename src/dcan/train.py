@@ -19,7 +19,7 @@ from .data import Sample, SyntheticConfig, kfold_split
 from .imaging import ClaheConfig, read_ppm, resize_bilinear, clahe
 from .metrics import EvalReport, FoldMetrics, confusion, metrics
 from .model import BackboneConfig, DcaModel, HeadConfig
-from .optim import AdamWConfig, adamw_step, cross_entropy
+from .optim import AdamWConfig, AdamWState, adamw_step, cross_entropy
 
 
 @dataclass
@@ -97,25 +97,39 @@ def build_model(config: RunConfig, seed_seq: np.random.SeedSequence) -> DcaModel
                     rng=np.random.default_rng(seed_seq))
 
 
+def _require_finite(loss: Tensor, params: dict[str, Tensor], where: str) -> None:
+    if not np.isfinite(loss.data):
+        raise FloatingPointError(f"non-finite loss at {where}")
+    for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise FloatingPointError(f"non-finite gradient of {name} at {where}")
+
+
 def train_model(x: np.ndarray, y: np.ndarray, config: RunConfig,
                 seed_seq: np.random.SeedSequence) -> DcaModel:
-    """Minibatch AdamW training with per-step unit-norm projection."""
+    """Minibatch AdamW training with per-step unit-norm projection.
+
+    Raises FloatingPointError, naming the epoch and the step, as soon as the
+    loss or a parameter gradient is not finite.
+    """
     init_seq, shuffle_seq, dropout_seq = seed_seq.spawn(3)
     model = build_model(config, init_seq)
+    state = AdamWState(model.params)
     shuffle_rng = np.random.default_rng(shuffle_seq)
     dropout_rng = np.random.default_rng(dropout_seq)
     onehot = np.eye(config.head.num_classes)[y]
 
     n = len(y)
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
-        for start in range(0, n, config.batch_size):
+        for step, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
             with Tape() as tape:
                 probs, _ = model.forward(Tensor(x[idx]), training=True, rng=dropout_rng)
                 loss = cross_entropy(probs, onehot[idx])
             backward(loss, tape)
-            adamw_step(model.params, config.adamw)
+            _require_finite(loss, model.params, f"epoch {epoch}, step {step}")
+            adamw_step(model.params, state, config.adamw)
             model.project_unit_norm()
     return model
 

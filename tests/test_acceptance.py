@@ -24,8 +24,7 @@ from dcan.explain import gradcam_pp
 from dcan.imaging import ClaheConfig, Image, clahe, read_ppm, rgb_to_ycbcr
 from dcan.metrics import ConfusionMatrix, metrics
 from dcan.model import BackboneConfig, DcaModel, HeadConfig
-from dcan.optim import AdamWConfig, adamw_step, cross_entropy
-from dcan.autograd import Parameter
+from dcan.optim import AdamWConfig, AdamWState, adamw_step, cross_entropy
 from dcan.train import RunConfig, evaluate, load_arrays, train_model
 
 
@@ -100,7 +99,7 @@ def test_gradient_suite_full_model():
     # conditioned evaluation point: keeps every gradient entry above the
     # central-difference roundoff floor (~1e-11 at h=1e-5 on an O(1) loss)
     for p in model.params.values():
-        p.tensor.data = rng.normal(0.0, 0.4, size=p.data.shape)
+        p.data = rng.normal(0.0, 0.4, size=p.data.shape)
     x = rng.random((1, 16, 16, 3))
     onehot = np.array([[1.0, 0.0]])
 
@@ -220,11 +219,12 @@ def test_oracle_equivalence():
     cfg = AdamWConfig()
     theta0 = rng.standard_normal(6)
     grads = [rng.standard_normal(6) for _ in range(5)]
-    p = Parameter(theta0.copy())
+    p = Tensor(theta0.copy(), requires_grad=True)
+    state = AdamWState({"p": p})
     theta, m, v = theta0.copy(), np.zeros(6), np.zeros(6)
     for t, g in enumerate(grads, start=1):
-        p.tensor.grad = g.copy()
-        adamw_step([p], cfg)
+        p.grad = g.copy()
+        adamw_step({"p": p}, state, cfg)
         m = cfg.beta1 * m + (1 - cfg.beta1) * g
         v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
         mh, vh = m / (1 - cfg.beta1 ** t), v / (1 - cfg.beta2 ** t)

@@ -4,7 +4,7 @@ import pytest
 from dcan.attention import (AttentionMaps, DcaConfig, dca_forward,
                             gating_branch, init_dca_params, refine_branch,
                             spatial_branch)
-from dcan.autograd import Parameter, ShapeError, Tensor, grad_check, tsum
+from dcan.autograd import ShapeError, Tensor, grad_check, tsum
 
 
 def make_params(config, seed=0):
@@ -14,7 +14,7 @@ def make_params(config, seed=0):
 def zero_params(config):
     params = make_params(config)
     for p in params.values():
-        p.tensor.data = np.zeros_like(p.data)
+        p.data = np.zeros_like(p.data)
     return params
 
 
@@ -45,7 +45,7 @@ class TestSpatialBranch:
         # 1x1 identity conv passes logits through; relu keeps them (all >= 0)
         config = DcaConfig(channels=1, spatial_kernel=1)
         params = zero_params(config)
-        params["spatial_w"].tensor.data = np.ones((1, 1, 1, 1))
+        params["spatial_w"].data = np.ones((1, 1, 1, 1))
         f = Tensor(np.array([0.0, 0.0, 0.0, np.log(3.0)]).reshape(1, 2, 2, 1))
         out = spatial_branch(f, config, params)
         np.testing.assert_allclose(out.data.ravel(), [1 / 6, 1 / 6, 1 / 6, 1 / 2],
@@ -74,7 +74,7 @@ class TestGatingBranch:
     def test_bias_saturation(self):
         config = DcaConfig(channels=1)
         params = zero_params(config)
-        params["gate_b"].tensor.data = np.array([10.0])
+        params["gate_b"].data = np.array([10.0])
         out = gating_branch(Tensor(np.zeros((1, 2, 2, 1))), config, params)
         assert np.all(out.data > 0.9999)
 
@@ -100,7 +100,7 @@ class TestRefineBranch:
     def test_negative_bias_saturation(self):
         config = DcaConfig(channels=1)
         params = zero_params(config)
-        params["refine_b"].tensor.data = np.array([-10.0])
+        params["refine_b"].data = np.array([-10.0])
         out = refine_branch(Tensor(np.zeros((1, 2, 2, 1))), config, params)
         assert np.all(out.data < 1e-4)
 
@@ -160,7 +160,7 @@ class TestDcaForward:
         params = make_params(full, seed=15)
         f = Tensor(np.random.default_rng(16).standard_normal((1, 4, 4, 2)))
         out1, _ = dca_forward(f, ablated, params)
-        params["refine_w"].tensor.data = params["refine_w"].data + 100.0
+        params["refine_w"].data = params["refine_w"].data + 100.0
         out2, _ = dca_forward(f, ablated, params)
         np.testing.assert_array_equal(out1.data, out2.data)
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from dcan.autograd import (Parameter, ShapeError, Tape, Tensor, backward,
+from dcan.autograd import (ShapeError, Tape, Tensor, backward,
                            conv2d, dense, dropout, elementwise,
-                           global_average_pool, grad_check,
-                           pointwise_activation, relu, sigmoid,
+                           global_average_pool, grad_check, relu, sigmoid,
                            spatial_softmax, tsum)
 
 
@@ -152,10 +151,6 @@ class TestActivations:
     def test_relu_definition(self):
         np.testing.assert_array_equal(relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            pointwise_activation("tanh", Tensor([0.0]))
-
     def test_sigmoid_gradient_fd(self):
         x = np.array([1.0])
         g = analytic_grad(sigmoid, x)
@@ -295,10 +290,10 @@ class TestBackward:
 
 class TestGradCheck:
     def test_linear_model_exact(self):
-        theta = Parameter(np.array([2.0]))
+        theta = Tensor(np.array([2.0]), requires_grad=True)
 
         def f():
-            return tsum(elementwise("mul", theta.tensor, Tensor([3.0])))
+            return tsum(elementwise("mul", theta, Tensor([3.0])))
 
         report = grad_check(f, {"theta": theta}, tol=1e-10)
         assert report["passed"]
@@ -306,12 +301,12 @@ class TestGradCheck:
 
     def test_conv_sigmoid_sum(self):
         rng = np.random.default_rng(9)
-        k = Parameter(rng.standard_normal((3, 3, 2, 2)) * 0.5)
-        b = Parameter(rng.standard_normal(2) * 0.5)
+        k = Tensor(rng.standard_normal((3, 3, 2, 2)) * 0.5, requires_grad=True)
+        b = Tensor(rng.standard_normal(2) * 0.5, requires_grad=True)
         x = Tensor(rng.standard_normal((1, 4, 4, 2)))
 
         def f():
-            return tsum(sigmoid(conv2d(x, k.tensor, b.tensor)))
+            return tsum(sigmoid(conv2d(x, k, b)))
 
         report = grad_check(f, {"k": k, "b": b}, tol=1e-6)
         assert report["passed"], report

@@ -42,7 +42,7 @@ class TestGradcamModel:
         model = small_model()
         for name, p in model.params.items():
             if name.startswith("backbone"):
-                p.tensor.data = np.zeros_like(p.data)
+                p.data = np.zeros_like(p.data)
         hm = gradcam_pp(model, Tensor(np.random.default_rng(1).random((1, 16, 16, 3))), 0)
         assert hm.flagged
         np.testing.assert_array_equal(hm.values, 0.0)

@@ -1,10 +1,14 @@
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from dcan.attention import DcaConfig
 from dcan.autograd import ShapeError, Tape, Tensor, backward, grad_check
-from dcan.model import BackboneConfig, DcaModel, HeadConfig
-from dcan.optim import AdamWConfig, adamw_step, cross_entropy
+from dcan.model import BackboneConfig, CheckpointError, DcaModel, HeadConfig
+from dcan.optim import AdamWConfig, AdamWState, adamw_step, cross_entropy
 
 
 def small_model(seed=0, dropout_rate=0.0, unit_norm=True):
@@ -48,7 +52,7 @@ class TestBackbone:
         model = small_model()
         for name, p in model.params.items():
             if name.startswith("backbone"):
-                p.tensor.data = np.zeros_like(p.data)
+                p.data = np.zeros_like(p.data)
         out = model.backbone_forward(Tensor(np.random.default_rng(1).random((1, 16, 16, 3))))
         np.testing.assert_array_equal(out.data, 0.0)
 
@@ -76,7 +80,7 @@ class TestHead:
     def test_zero_weights_uniform(self):
         model = small_model(unit_norm=False)
         for name in ("head_w1", "head_b1", "head_w2", "head_b2"):
-            model.params[name].tensor.data = np.zeros_like(model.params[name].data)
+            model.params[name].data = np.zeros_like(model.params[name].data)
         probs = model.head_forward(Tensor(np.random.default_rng(5).random((3, 4, 4, 8))))
         np.testing.assert_allclose(probs.data, 0.5)
 
@@ -121,7 +125,7 @@ class TestModelForward:
         rng = np.random.default_rng(8)
         model = small_model(seed=8)
         for p in model.params.values():
-            p.tensor.data = rng.normal(0.0, 0.4, size=p.data.shape)
+            p.data = rng.normal(0.0, 0.4, size=p.data.shape)
         x = Tensor(rng.random((1, 16, 16, 3)))
         onehot = np.array([[1.0, 0.0]])
 
@@ -143,7 +147,7 @@ class TestUnitNormConstraint:
             probs, _ = model.forward(x, training=True, rng=rng)
             loss = cross_entropy(probs, onehot)
         backward(loss, tape)
-        adamw_step(model.params, AdamWConfig())
+        adamw_step(model.params, AdamWState(model.params), AdamWConfig())
         model.project_unit_norm()
         for name in ("head_w1", "head_w2"):
             norms = np.linalg.norm(model.params[name].data, axis=0)
@@ -183,4 +187,40 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data + b"\x00" * 8)
         with pytest.raises(ValueError, match="trailing"):
+            DcaModel.load(path)
+
+    def test_every_truncation_raises_located_error(self, tmp_path):
+        model = small_model()
+        path = tmp_path / "model.dcam"
+        model.save(path)
+        data = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", data, 8)
+        bounds = [0, 4, 8, 12, 12 + cfg_len]  # magic, version, config length, config
+        for p in model.params.values():  # each blob: u64 count, then the values
+            bounds += [bounds[-1] + 8, bounds[-1] + 8 + 8 * p.size]
+        assert bounds[-1] == len(data)
+        inside = [(a + b) // 2 for a, b in zip(bounds, bounds[1:])]
+        bad = tmp_path / "cut.dcam"
+        for cut in sorted(set(bounds[:-1] + inside + [len(data) - 1])):
+            bad.write_bytes(data[:cut])
+            with pytest.raises(CheckpointError, match=re.escape(f"{bad}: byte ")):
+                DcaModel.load(bad)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda cfg: cfg.pop("dca"),
+        lambda cfg: cfg.update(optimizer={}),
+        lambda cfg: cfg["dca"].pop("channels"),
+        lambda cfg: cfg["head"].update(bogus=1),
+    ], ids=["missing_section", "unknown_section", "missing_key", "unknown_key"])
+    def test_bad_config_raises_located_error(self, tmp_path, mutate):
+        model = small_model()
+        cfg = model.config_dict()
+        mutate(cfg)
+        text = json.dumps(cfg).encode("utf-8")
+        path = tmp_path / "model.dcam"
+        model.save(path)
+        data = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", data, 8)
+        path.write_bytes(data[:8] + struct.pack("<I", len(text)) + text + data[12 + cfg_len:])
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: byte 12: ")):
             DcaModel.load(path)

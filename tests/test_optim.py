@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dcan.autograd import Parameter, ShapeError, Tape, Tensor, backward, dense, softmax_rows, tsum
-from dcan.optim import AdamWConfig, adamw_step, cross_entropy, unit_norm_project
+from dcan.autograd import ShapeError, Tape, Tensor, backward, dense, softmax_rows, tsum
+from dcan.optim import AdamWConfig, AdamWState, adamw_step, cross_entropy, unit_norm_project
 
 
 def adamw_oracle(theta0, grads, cfg):
@@ -69,65 +69,67 @@ class TestCrossEntropy:
 class TestAdamW:
     def test_first_step_adam(self):
         cfg = AdamWConfig(eta=0.01, weight_decay=0.0)
-        p = Parameter(np.array([0.0]))
-        p.tensor.grad = np.array([1.0])
-        adamw_step([p], cfg)
+        p = Tensor(np.array([0.0]), requires_grad=True)
+        state = AdamWState({"p": p})
+        p.grad = np.array([1.0])
+        adamw_step({"p": p}, state, cfg)
         assert p.data[0] == pytest.approx(-cfg.eta, rel=1e-6)
-        assert p.step == 1
-        assert p.tensor.grad is None
+        assert state.step == 1
+        assert p.grad is None
 
     def test_pure_decay(self):
         cfg = AdamWConfig(eta=0.1, weight_decay=0.5, bias_correction=False)
-        p = Parameter(np.array([2.0]))
-        p.tensor.grad = np.array([0.0])
-        adamw_step([p], cfg)
+        p = Tensor(np.array([2.0]), requires_grad=True)
+        p.grad = np.array([0.0])
+        adamw_step({"p": p}, AdamWState({"p": p}), cfg)
         assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-12)
 
     @pytest.mark.parametrize("bias_correction", [True, False])
     def test_five_steps_match_recurrence_oracle(self, bias_correction):
         cfg = AdamWConfig(eta=0.05, weight_decay=0.01, bias_correction=bias_correction)
-        p = Parameter(np.array([1.0]))
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        state = AdamWState({"p": p})
         grads = []
         for _ in range(5):
             g = 2 * (p.data[0] - 3.0)  # scalar quadratic (theta - 3)^2
             grads.append(g)
-            p.tensor.grad = np.array([g])
-            adamw_step([p], cfg)
+            p.grad = np.array([g])
+            adamw_step({"p": p}, state, cfg)
         assert abs(p.data[0] - adamw_oracle(1.0, grads, cfg)) < 1e-15
 
     def test_lambda_zero_is_exactly_adam(self):
         for bc in (True, False):
             cfg = AdamWConfig(eta=0.02, weight_decay=0.0, bias_correction=bc)
-            pa = Parameter(np.array([0.7]))
-            pb = Parameter(np.array([0.7]))
+            pa = Tensor(np.array([0.7]), requires_grad=True)
+            state = AdamWState({"pa": pa})
+            pb = np.array([0.7])
+            m, v = np.zeros(1), np.zeros(1)
             rng = np.random.default_rng(2)
-            for _ in range(10):
+            for t in range(1, 11):
                 g = rng.standard_normal(1)
-                pa.tensor.grad = g.copy()
-                pb.tensor.grad = g.copy()
-                adamw_step([pa], cfg)
+                pa.grad = g.copy()
+                adamw_step({"pa": pa}, state, cfg)
                 # plain Adam reference: decay term dropped entirely
-                t = pb.step + 1
-                pb.m = cfg.beta1 * pb.m + (1 - cfg.beta1) * g
-                pb.v = cfg.beta2 * pb.v + (1 - cfg.beta2) * g * g
-                mh = pb.m / (1 - cfg.beta1 ** t) if bc else pb.m
-                vh = pb.v / (1 - cfg.beta2 ** t) if bc else pb.v
-                pb.tensor.data = pb.data - cfg.eta * (mh / (np.sqrt(vh) + cfg.epsilon))
-                pb.step = t
-                pb.tensor.zero_grad()
-                np.testing.assert_array_equal(pa.data, pb.data)
+                m = cfg.beta1 * m + (1 - cfg.beta1) * g
+                v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+                mh = m / (1 - cfg.beta1 ** t) if bc else m
+                vh = v / (1 - cfg.beta2 ** t) if bc else v
+                pb = pb - cfg.eta * (mh / (np.sqrt(vh) + cfg.epsilon))
+                np.testing.assert_array_equal(pa.data, pb)
 
     def test_converges_on_quadratic(self):
         cfg = AdamWConfig(eta=0.1, weight_decay=0.0)
-        p = Parameter(np.array([0.0]))
+        p = Tensor(np.array([0.0]), requires_grad=True)
+        state = AdamWState({"p": p})
         for _ in range(200):
-            p.tensor.grad = 2 * (p.data - 3.0)
-            adamw_step([p], cfg)
+            p.grad = 2 * (p.data - 3.0)
+            adamw_step({"p": p}, state, cfg)
         assert abs(p.data[0] - 3.0) < 1e-2
 
     def test_missing_gradient_rejected(self):
-        with pytest.raises(ValueError):
-            adamw_step([Parameter(np.array([1.0]))], AdamWConfig())
+        params = {"p": Tensor(np.array([1.0]), requires_grad=True)}
+        with pytest.raises(ValueError, match="'p'"):
+            adamw_step(params, AdamWState(params), AdamWConfig())
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

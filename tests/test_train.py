@@ -7,7 +7,8 @@ from dcan.attention import DcaConfig
 from dcan.data import SyntheticConfig, generate_synthetic, load_dataset
 from dcan.imaging import ClaheConfig
 from dcan.model import BackboneConfig, HeadConfig
-from dcan.train import (RunConfig, load_arrays, predict_proba,
+from dcan.autograd import Tensor
+from dcan.train import (RunConfig, _require_finite, load_arrays, predict_proba,
                         run_cross_validation, train_model)
 
 
@@ -86,3 +87,17 @@ class TestPipeline:
         serial = predict_proba(model, x, batch_size=4, threads=1)
         parallel = predict_proba(model, x, batch_size=4, threads=4)
         np.testing.assert_array_equal(serial, parallel)
+
+    def test_nan_pixel_stops_training(self, corpus):
+        root, cfg = corpus
+        x, y = load_arrays(load_dataset(root), cfg.clahe, cfg.backbone.input_size)
+        x[3, 5, 5, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite loss at epoch 0, step "):
+            train_model(x, y, cfg, np.random.SeedSequence(0))
+
+
+def test_non_finite_gradient_names_the_parameter():
+    w = Tensor(np.ones(3), requires_grad=True)
+    w.grad = np.array([0.0, np.inf, 0.0])
+    with pytest.raises(FloatingPointError, match="gradient of head_w1 at epoch 2, step 7"):
+        _require_finite(Tensor(0.5), {"head_w1": w}, "epoch 2, step 7")
