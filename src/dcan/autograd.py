@@ -133,7 +133,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
     if padding == "same":
         ho, pt, pb = _same_pad(h, kh, stride)
         wo, pl, pr = _same_pad(w, kw, stride)
-        xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+        xp = np.zeros((n, h + pt + pb, w + pl + pr, cin))
+        xp[:, pt:pt + h, pl:pl + w, :] = x.data
     elif padding == "valid":
         ho = (h - kh) // stride + 1
         wo = (w - kw) // stride + 1
@@ -144,13 +145,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
     else:
         raise ValueError(f"unknown padding {padding!r}")
 
-    # im2col: gather k*k shifted views, flatten to a single matmul
-    cols = np.empty((n, ho, wo, kh, kw, cin))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, :, i, j, :] = xp[:, i:i + ho * stride:stride,
-                                        j:j + wo * stride:stride, :]
-    flat = cols.reshape(n * ho * wo, kh * kw * cin)
+    # im2col: one copy of the [n, ho, wo, kh, kw, cin] window view of xp (the
+    # ho/wo arithmetic above keeps every window inside it), then one matmul
+    sn, sh, sw, sc = xp.strides
+    flat = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
+        xp, (n, ho, wo, kh, kw, cin), (sn, sh * stride, sw * stride, sh, sw, sc),
+        writeable=False)).reshape(n * ho * wo, kh * kw * cin)
     wmat = kernel.data.reshape(kh * kw * cin, cout)
     out = Tensor((flat @ wmat + bias.data).reshape(n, ho, wo, cout))
 
@@ -161,14 +161,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         if bias.requires_grad:
             bias.accumulate_grad(gflat.sum(axis=0))
         if x.requires_grad:
+            # col2im tap by tap from one gemm (a per-tap matmul rounds differently)
             dcols = (gflat @ wmat.T).reshape(n, ho, wo, kh, kw, cin)
             dxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, i:i + ho * stride:stride,
-                        j:j + wo * stride:stride, :] += dcols[:, :, :, i, j, :]
-            dx = dxp[:, pt:pt + h, pl:pl + w, :] if padding == "same" else dxp
-            x.accumulate_grad(dx)
+                        j:j + wo * stride:stride, :] += dcols[:, :, :, i, j]
+            x.accumulate_grad(dxp[:, pt:pt + h, pl:pl + w, :])
 
     return _record(out, (x, kernel, bias), bwd)
 
@@ -207,8 +207,8 @@ def relu(x: Tensor) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     # split by sign for overflow-free evaluation
     d = x.data
-    s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(s)
 
     def bwd(g):
@@ -289,7 +289,7 @@ def global_average_pool(x: Tensor) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(g[:, None, None, :] / (h * w), x.shape).copy())
+            x.accumulate_grad(np.broadcast_to(g[:, None, None, :] / (h * w), x.shape))
 
     return _record(out, (x,), bwd)
 

@@ -36,7 +36,7 @@ def cross_entropy(probabilities: Tensor, labels: np.ndarray) -> Tensor:
     y = np.asarray(labels, dtype=np.float64)
     if probabilities.shape != y.shape:
         raise ShapeError(f"cross_entropy shape mismatch: {probabilities.shape} vs {y.shape}")
-    if not (np.all((y == 0.0) | (y == 1.0)) and np.allclose(y.sum(axis=1), 1.0)):
+    if not (np.all((y == 0.0) | (y == 1.0)) and (y.sum(axis=1) == 1.0).all()):
         raise ValueError("labels must be one-hot")
     n = y.shape[0]
     # clamp from below only so perfect predictions give exactly zero loss

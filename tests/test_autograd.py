@@ -7,20 +7,23 @@ from dcan.autograd import (ShapeError, Tape, Tensor, backward,
                            spatial_softmax, tsum)
 
 
+def _pad_same(x, kh, kw, stride):
+    """Zero-pad for 'same' output; returns (padded, top pad, left pad)."""
+    n, h, w, _ = x.shape
+    ho, wo = -(-h // stride), -(-w // stride)
+    th = max((ho - 1) * stride + kh - h, 0)
+    tw = max((wo - 1) * stride + kw - w, 0)
+    xp = np.pad(x, ((0, 0), (th // 2, th - th // 2), (tw // 2, tw - tw // 2), (0, 0)))
+    return xp, th // 2, tw // 2
+
+
 def conv2d_oracle(x, k, b, stride=1, padding="same"):
     """Direct nested-loop convolution, independent of the im2col path."""
     n, h, w, cin = x.shape
     kh, kw, _, cout = k.shape
-    if padding == "same":
-        ho = -(-h // stride)
-        wo = -(-w // stride)
-        th = max((ho - 1) * stride + kh - h, 0)
-        tw = max((wo - 1) * stride + kw - w, 0)
-        xp = np.pad(x, ((0, 0), (th // 2, th - th // 2), (tw // 2, tw - tw // 2), (0, 0)))
-    else:
-        ho = (h - kh) // stride + 1
-        wo = (w - kw) // stride + 1
-        xp = x
+    xp = _pad_same(x, kh, kw, stride)[0] if padding == "same" else x
+    ho = (xp.shape[1] - kh) // stride + 1
+    wo = (xp.shape[2] - kw) // stride + 1
     out = np.zeros((n, ho, wo, cout))
     for ni in range(n):
         for i in range(ho):
@@ -33,6 +36,41 @@ def conv2d_oracle(x, k, b, stride=1, padding="same"):
                                 acc += xp[ni, i * stride + di, j * stride + dj, ci] * k[di, dj, ci, co]
                     out[ni, i, j, co] = acc
     return out
+
+
+def conv2d_adjoint_oracle(x, k, g, stride=1, padding="same"):
+    """Nested-loop dL/dx, dL/dk, dL/db for upstream gradient g."""
+    n, h, w, cin = x.shape
+    kh, kw, _, cout = k.shape
+    xp, pt, pl = _pad_same(x, kh, kw, stride) if padding == "same" else (x, 0, 0)
+    dxp, dk, db = np.zeros_like(xp), np.zeros_like(k), np.zeros(cout)
+    _, ho, wo, _ = g.shape
+    for ni in range(n):
+        for i in range(ho):
+            for j in range(wo):
+                for co in range(cout):
+                    gv = g[ni, i, j, co]
+                    db[co] += gv
+                    for di in range(kh):
+                        for dj in range(kw):
+                            for ci in range(cin):
+                                r, c = i * stride + di, j * stride + dj
+                                dxp[ni, r, c, ci] += gv * k[di, dj, ci, co]
+                                dk[di, dj, ci, co] += gv * xp[ni, r, c, ci]
+    return dxp[:, pt:pt + h, pl:pl + w, :], dk, db
+
+
+def im2col_loop_reference(x, kh, kw, stride=1, padding="same"):
+    """The k*k loop of strided slice copies that conv2d's im2col replaced."""
+    xp = _pad_same(x, kh, kw, stride)[0] if padding == "same" else x
+    n, _, _, cin = x.shape
+    ho = (xp.shape[1] - kh) // stride + 1
+    wo = (xp.shape[2] - kw) // stride + 1
+    cols = np.empty((n, ho, wo, kh, kw, cin))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i, j, :] = xp[:, i:i + ho * stride:stride, j:j + wo * stride:stride, :]
+    return cols.reshape(n * ho * wo, kh * kw * cin), (n, ho, wo)
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -62,6 +100,12 @@ def analytic_grad(op, x_data, weight=None):
     return x.grad
 
 
+SWEEP = [
+    (4, 4, 1, 1, "same"), (5, 7, 3, 1, "same"), (8, 8, 3, 2, "same"),
+    (6, 5, 3, 1, "valid"), (8, 6, 3, 2, "valid"), (7, 7, 1, 2, "same"),
+]
+
+
 class TestConv2d:
     def test_scalar_affine(self):
         out = conv2d(Tensor([[[[2.0]]]]), Tensor([[[[3.0]]]]), Tensor([1.0]))
@@ -82,18 +126,34 @@ class TestConv2d:
         out = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=1, padding="same")
         np.testing.assert_allclose(out.data, conv2d_oracle(x, k, b), atol=1e-12)
 
-    @pytest.mark.parametrize("h,w,k,stride,padding", [
-        (4, 4, 1, 1, "same"), (5, 7, 3, 1, "same"), (8, 8, 3, 2, "same"),
-        (6, 5, 3, 1, "valid"), (8, 6, 3, 2, "valid"), (7, 7, 1, 2, "same"),
-    ])
+    @pytest.mark.parametrize("h,w,k,stride,padding", SWEEP)
     def test_oracle_shape_sweep(self, h, w, k, stride, padding):
         rng = np.random.default_rng(hash((h, w, k, stride)) % 2**32)
         x = rng.standard_normal((2, h, w, 2))
         kern = rng.standard_normal((k, k, 2, 3))
         b = rng.standard_normal(3)
-        out = conv2d(Tensor(x), Tensor(kern), Tensor(b), stride=stride, padding=padding)
+        xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, kern, b))
+        with Tape() as tape:
+            out = conv2d(xt, kt, bt, stride=stride, padding=padding)
+            g = rng.standard_normal(out.shape)
+            loss = tsum(elementwise("mul", out, Tensor(g)))
         np.testing.assert_allclose(out.data, conv2d_oracle(x, kern, b, stride, padding),
                                    atol=1e-12)
+        backward(loss, tape)
+        for grad, expected in zip((xt.grad, kt.grad, bt.grad),
+                                  conv2d_adjoint_oracle(x, kern, g, stride, padding)):
+            np.testing.assert_allclose(grad, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("h,w,k,stride,padding", SWEEP + [(16, 16, 3, 2, "same")])
+    def test_im2col_bitwise_matches_loop_reference(self, h, w, k, stride, padding):
+        rng = np.random.default_rng(hash((h, w, k, stride, 1)) % 2**32)
+        x = rng.standard_normal((2, h, w, 3))
+        kern = rng.standard_normal((k, k, 3, 4))
+        b = rng.standard_normal(4)
+        cols, (n, ho, wo) = im2col_loop_reference(x, k, k, stride, padding)
+        expected = (cols @ kern.reshape(-1, 4) + b).reshape(n, ho, wo, 4)
+        out = conv2d(Tensor(x), Tensor(kern), Tensor(b), stride=stride, padding=padding)
+        assert np.array_equal(out.data, expected)
 
     def test_channel_mismatch_names_axis(self):
         with pytest.raises(ShapeError, match="channel"):

@@ -32,8 +32,9 @@ class TestCrossEntropy:
         assert float(cross_entropy(Tensor(p), y).data) == pytest.approx(np.log(2), abs=1e-9)
 
     def test_rejects_non_onehot(self):
-        with pytest.raises(ValueError):
-            cross_entropy(Tensor(np.full((1, 2), 0.5)), np.array([[0.5, 0.5]]))
+        for y in ([[0.5, 0.5]], [[1.0, 1.0]], [[0.0, 0.0]]):
+            with pytest.raises(ValueError, match="labels must be one-hot"):
+                cross_entropy(Tensor(np.full((1, 2), 0.5)), np.array(y))
 
     def test_logit_gradient_is_p_minus_y_over_n(self):
         rng = np.random.default_rng(0)
