@@ -39,10 +39,11 @@ def _atomic_write(path: Path, data: bytes | str) -> None:
 
 
 def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DCA_THREADS", "1")))
-    except ValueError:
-        return 1
+    """DCA_THREADS: pool size for preprocessing and inference (default 1)."""
+    raw = os.environ.get("DCA_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"DCA_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def cmd_gen(config: RunConfig) -> None:
@@ -50,9 +51,10 @@ def cmd_gen(config: RunConfig) -> None:
     print(f"generated {len(samples)} samples under {config.data_dir}")
 
 
-def cmd_train(config: RunConfig) -> None:
+def cmd_train(config: RunConfig, threads: int) -> None:
     samples = load_dataset(config.data_dir)
-    report, models = run_cross_validation(samples, config, threads=_threads())
+    x, y = load_arrays(samples, config.clahe, config.backbone.input_size, threads)
+    report, models = run_cross_validation(samples, x, y, config, threads)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for fold, model in enumerate(models):
@@ -61,11 +63,11 @@ def cmd_train(config: RunConfig) -> None:
     print(f"trained {config.k_folds} folds; report at {out / 'report.csv'}")
 
 
-def cmd_eval(config: RunConfig, checkpoint: str) -> None:
+def cmd_eval(config: RunConfig, checkpoint: str, threads: int) -> None:
     model = DcaModel.load(checkpoint)
     samples = load_dataset(config.data_dir)
-    x, y = load_arrays(samples, config.clahe, model.backbone.input_size)
-    fold = evaluate(model, x, y, config.batch_size, threads=_threads())
+    x, y = load_arrays(samples, config.clahe, model.backbone.input_size, threads)
+    fold = evaluate(model, x, y, config.batch_size, threads)
     report = EvalReport(folds=[fold])
     out = Path(config.output_dir) / "eval_report.csv"
     _atomic_write(out, report.to_csv())
@@ -79,14 +81,15 @@ ABLATION_ROWS = [  # spatial, gated, refinement toggle matrix
 ]
 
 
-def cmd_ablate(config: RunConfig) -> None:
+def cmd_ablate(config: RunConfig, threads: int) -> None:
     samples = load_dataset(config.data_dir)
+    x, y = load_arrays(samples, config.clahe, config.backbone.input_size, threads)
     lines = ["spatial,gated,refinement,accuracy,precision,recall,f1,kappa"]
     for spatial, gated, refine in ABLATION_ROWS:
         dca = dataclasses.replace(config.dca, enable_spatial=spatial, enable_gated=gated,
                                   enable_refine=refine)
         cfg = dataclasses.replace(config, dca=dca)
-        report, _ = run_cross_validation(samples, cfg, threads=_threads())
+        report, _ = run_cross_validation(samples, x, y, cfg, threads)
         cells = [f"{report.mean(n):.6f}±{report.std(n):.6f}"
                  for n in ("accuracy", "precision", "recall", "f1", "kappa")]
         lines.append(f"{int(spatial)},{int(gated)},{int(refine)}," + ",".join(cells))
@@ -169,11 +172,11 @@ def main(argv=None) -> int:
         if args.command == "gen":
             cmd_gen(config)
         elif args.command == "train":
-            cmd_train(config)
+            cmd_train(config, _threads())
         elif args.command == "eval":
-            cmd_eval(config, args.checkpoint)
+            cmd_eval(config, args.checkpoint, _threads())
         elif args.command == "ablate":
-            cmd_ablate(config)
+            cmd_ablate(config, _threads())
         elif args.command == "explain":
             cmd_explain(config, args.checkpoint, args.image)
         elif args.command == "gradcheck":

@@ -57,7 +57,7 @@ def gradcam_pp(model: DcaModel, image: Tensor, target_class: int) -> Heatmap:
     onehot[0, target_class] = 1.0
     with Tape() as tape:
         features = model.backbone_forward(image)
-        f_dca, _ = dca_forward(features, model.dca, model.dca_params())
+        f_dca, _ = dca_forward(features, model.dca, model.dca_params)
         logits = model.head_logits(f_dca, training=False)
         score = tsum(elementwise("mul", logits, Tensor(onehot)))
     backward(score, tape)

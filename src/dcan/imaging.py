@@ -41,6 +41,8 @@ class ClaheConfig:
             raise ValueError("tiles must be >= 1")
         if self.clip_limit < 1.0:
             raise ValueError("clip_limit must be >= 1")
+        if self.bins < 256:
+            raise ValueError(f"bins must be >= 256 to hold every 8-bit luma, got {self.bins}")
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +110,7 @@ def write_ppm(img: Image) -> bytes:
 
 
 def bilinear(values: np.ndarray, target: int) -> np.ndarray:
-    """Resample a float [h, w, ...] array to [target, target, ...].
+    """Resample a real [h, w, ...] array to a float [target, target, ...] one.
 
     Source coordinates are clamped to the pixel grid before the floor, so a
     border pixel is reproduced exactly rather than blended with itself.
@@ -123,8 +125,9 @@ def bilinear(values: np.ndarray, target: int) -> np.ndarray:
     # weights broadcast over any trailing channel axes
     wy = (ys - y0).reshape(-1, *[1] * (values.ndim - 1))
     wx = (xs - x0).reshape(-1, *[1] * (values.ndim - 2))
-    top = values[y0][:, x0] * (1 - wx) + values[y0][:, x1] * wx
-    bot = values[y1][:, x0] * (1 - wx) + values[y1][:, x1] * wx
+    rows0, rows1 = values[y0], values[y1]
+    top = rows0[:, x0] * (1 - wx) + rows0[:, x1] * wx
+    bot = rows1[:, x0] * (1 - wx) + rows1[:, x1] * wx
     return top * (1 - wy) + bot * wy
 
 
@@ -133,7 +136,7 @@ def resize_bilinear(img: Image, target: int) -> Image:
         raise ValueError("target size must be >= 1")
     if img.width < 1 or img.height < 1:
         raise ValueError("cannot resize an empty image")
-    out = bilinear(img.pixels.astype(np.float64), target)
+    out = bilinear(img.pixels, target)  # gathers uint8, blends in float64
     pixels = np.clip(np.rint(out), 0, 255).astype(np.uint8)
     return Image(target, target, img.channels, pixels)
 
@@ -143,8 +146,7 @@ def resize_bilinear(img: Image, target: int) -> Image:
 
 
 def rgb_to_ycbcr(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p = pixels.astype(np.int32)
-    r, g, b = p[..., 0], p[..., 1], p[..., 2]
+    r, g, b = (pixels[..., k].astype(np.int32) for k in range(3))
     y = (77 * r + 150 * g + 29 * b + 128) >> 8
     cb = ((-43 * r - 85 * g + 128 * b + 128) >> 8) + 128
     cr = ((128 * r - 107 * g - 21 * b + 128) >> 8) + 128
@@ -154,27 +156,32 @@ def rgb_to_ycbcr(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
     y = y.astype(np.int32)
     db, dr = cb.astype(np.int32) - 128, cr.astype(np.int32) - 128
-    r = y + ((359 * dr + 128) >> 8)
-    g = y - ((88 * db + 183 * dr + 128) >> 8)
-    b = y + ((454 * db + 128) >> 8)
-    return np.clip(np.stack([r, g, b], axis=-1), 0, 255).astype(np.uint8)
+    rgb = np.empty((*y.shape, 3), dtype=np.uint8)
+    rgb[..., 0] = np.clip(y + ((359 * dr + 128) >> 8), 0, 255)
+    rgb[..., 1] = np.clip(y - ((88 * db + 183 * dr + 128) >> 8), 0, 255)
+    rgb[..., 2] = np.clip(y + ((454 * db + 128) >> 8), 0, 255)
+    return rgb
 
 
 # ---------------------------------------------------------------------------
 # CLAHE
 
 
-def _tile_lut(values: np.ndarray, config: ClaheConfig) -> np.ndarray:
-    """Clipped-histogram equalization transfer function for one tile."""
+def _equalize(hist: np.ndarray, total, config: ClaheConfig) -> np.ndarray:
+    """Clipped-equalization LUTs of the histograms on the last axis, of `total` pixels each."""
     bins = config.bins
-    hist = np.bincount(values.ravel(), minlength=bins).astype(np.float64)
-    total = values.size
+    hist = hist.astype(np.float64)
     clip = config.clip_limit * total / bins
-    excess = np.maximum(hist - clip, 0.0).sum()
+    excess = np.maximum(hist - clip, 0.0).sum(axis=-1, keepdims=True)
     hist = np.minimum(hist, clip) + excess / bins  # uniform redistribution
-    cdf = np.cumsum(hist)
+    cdf = np.cumsum(hist, axis=-1)
     midpoint = cdf - hist / 2.0  # bin-center CDF keeps constant inputs fixed
     return np.clip(np.rint(255.0 * midpoint / total), 0, 255).astype(np.uint8)
+
+
+def _tile_lut(values: np.ndarray, config: ClaheConfig) -> np.ndarray:
+    """Clipped-histogram equalization transfer function for one tile."""
+    return _equalize(np.bincount(values.ravel(), minlength=config.bins), values.size, config)
 
 
 def _tile_edges(extent: int, tiles: int) -> np.ndarray:
@@ -189,20 +196,18 @@ def clahe(img: Image, config: ClaheConfig) -> Image:
         luma, cb, cr = rgb_to_ycbcr(img.pixels)
     else:
         luma = img.pixels[..., 0].astype(np.int32)
-    luma = np.clip(luma, 0, 255)
 
-    t = config.tiles
+    # every tile's histogram from one bincount over (tile id, luma) keys
+    t, bins = config.tiles, config.bins
     ye = _tile_edges(img.height, t)
     xe = _tile_edges(img.width, t)
-    luts = np.empty((t, t, config.bins), dtype=np.uint8)
-    cy = np.empty(t)
-    cx = np.empty(t)
-    for i in range(t):
-        cy[i] = (ye[i] + ye[i + 1] - 1) / 2.0
-        for j in range(t):
-            luts[i, j] = _tile_lut(luma[ye[i]:ye[i + 1], xe[j]:xe[j + 1]], config)
-    for j in range(t):
-        cx[j] = (xe[j] + xe[j + 1] - 1) / 2.0
+    ty = np.repeat(np.arange(t), np.diff(ye))
+    tx = np.repeat(np.arange(t), np.diff(xe))
+    keys = (ty * (t * bins))[:, None] + tx * bins + luma
+    hist = np.bincount(keys.ravel(), minlength=t * t * bins).reshape(t, t, bins)
+    luts = _equalize(hist, np.outer(np.diff(ye), np.diff(xe))[..., None], config)
+    cy = (ye[:-1] + ye[1:] - 1) / 2.0
+    cx = (xe[:-1] + xe[1:] - 1) / 2.0
 
     # bilinear blend of the four surrounding tile mappings, clamped at borders
     yy = np.arange(img.height, dtype=np.float64)
@@ -217,13 +222,14 @@ def clahe(img: Image, config: ClaheConfig) -> Image:
     wy = np.clip(wy, 0.0, 1.0)[:, None]
     wx = np.clip(wx, 0.0, 1.0)[None, :]
 
-    a = iy0[:, None]
-    b = iy1[:, None]
-    c = ix0[None, :]
-    d = ix1[None, :]
-    v = luma
-    blended = ((1 - wy) * (1 - wx) * luts[a, c, v] + (1 - wy) * wx * luts[a, d, v]
-               + wy * (1 - wx) * luts[b, c, v] + wy * wx * luts[b, d, v])
+    # gathers from the flat table, where entry (i, j, v) sits at i*t*bins + j*bins + v
+    luts = luts.reshape(-1)
+    a = (iy0 * (t * bins))[:, None]
+    b = (iy1 * (t * bins))[:, None]
+    c = ix0 * bins + luma
+    d = ix1 * bins + luma
+    blended = ((1 - wy) * (1 - wx) * luts[a + c] + (1 - wy) * wx * luts[a + d]
+               + wy * (1 - wx) * luts[b + c] + wy * wx * luts[b + d])
     eq = np.clip(np.rint(blended), 0, 255).astype(np.int32)
 
     if img.channels == 3:

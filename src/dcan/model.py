@@ -89,7 +89,10 @@ class DcaModel:
                                                    requires_grad=True)
             self.params[f"backbone{i}_b"] = Tensor(np.zeros(cout), requires_grad=True)
             cin = cout
-        for name, p in init_dca_params(dca, rng).items():
+        # the attention block's view of its parameters: the same Tensor objects,
+        # which load, AdamW and gradcheck only ever update through `.data`
+        self.dca_params: dict[str, Tensor] = init_dca_params(dca, rng)
+        for name, p in self.dca_params.items():
             self.params[f"dca_{name}"] = p
         d, units = backbone.feature_channels, head.hidden_units
         for name, a in (("head_w1", uniform_init(rng, (d, units), d)),
@@ -104,9 +107,6 @@ class DcaModel:
         if self.head.unit_norm:
             unit_norm_project(self.params["head_w1"])
             unit_norm_project(self.params["head_w2"])
-
-    def dca_params(self) -> dict[str, Tensor]:
-        return {k[len("dca_"):]: v for k, v in self.params.items() if k.startswith("dca_")}
 
     # ------------------------------------------------------------------
     # forward stages
@@ -139,7 +139,7 @@ class DcaModel:
     def forward(self, image: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Tensor, AttentionMaps]:
         features = self.backbone_forward(image)
-        f_dca, maps = dca_forward(features, self.dca, self.dca_params())
+        f_dca, maps = dca_forward(features, self.dca, self.dca_params)
         return self.head_forward(f_dca, training, rng), maps
 
     # ------------------------------------------------------------------

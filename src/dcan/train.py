@@ -42,27 +42,33 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        """Build a config from parsed JSON; a malformed entry raises a ValueError naming it."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
         kwargs = {}
         for key, value in raw.items():
             section = cls._SECTIONS.get(key)
-            if section is not None:
-                sub_known = {f.name for f in fields(section)}
-                sub_unknown = set(value) - sub_known
-                if sub_unknown:
-                    raise ValueError(f"unknown config key(s) in '{key}': {sorted(sub_unknown)}")
-                kwargs[key] = section(**value)
-            else:
-                kwargs[key] = value
+            expected = dict if section is not None else type(getattr(cls, key))
+            if not isinstance(value, expected):
+                raise ValueError(f"'{key}' must be {expected.__name__}, got {type(value).__name__}")
+            try:
+                kwargs[key] = section(**value) if section is not None else value
+            except (TypeError, ValueError) as exc:  # an unknown or invalid field
+                raise ValueError(f"bad entry in '{key}': {exc}") from None
         return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Load run.json; a malformed file raises a ValueError naming the path
+        and either the JSON line and column or the offending key."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -78,14 +84,24 @@ def preprocess_sample(path, clahe_cfg: ClaheConfig, input_size: int) -> np.ndarr
     img = clahe(img, clahe_cfg)
     img = resize_bilinear(img, input_size)
     pixels = img.pixels if img.channels == 3 else np.repeat(img.pixels, 3, axis=2)
-    return pixels.astype(np.float64) / 255.0
+    return pixels / 255.0
 
 
-def load_arrays(samples: list[Sample], clahe_cfg: ClaheConfig,
-                input_size: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([preprocess_sample(s.path, clahe_cfg, input_size) for s in samples])
+def load_arrays(samples: list[Sample], clahe_cfg: ClaheConfig, input_size: int,
+                threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Preprocessed images and labels, in sample order for any thread count."""
+    x = np.stack(_ordered_map(lambda s: preprocess_sample(s.path, clahe_cfg, input_size),
+                              samples, threads))
     y = np.array([s.label for s in samples], dtype=int)
     return x, y
+
+
+def _ordered_map(fn, items: list, threads: int) -> list:
+    """[fn(item) for item in items], on a pool of `threads` workers when > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +160,7 @@ def predict_proba(model: DcaModel, x: np.ndarray, batch_size: int = 32,
         probs, _ = model.forward(Tensor(batch), training=False)
         return probs.data
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(infer, batches))
-    else:
-        parts = [infer(b) for b in batches]
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(_ordered_map(infer, batches, threads), axis=0)
 
 
 def evaluate(model: DcaModel, x: np.ndarray, y: np.ndarray,
@@ -159,10 +170,10 @@ def evaluate(model: DcaModel, x: np.ndarray, y: np.ndarray,
     return metrics(cm)
 
 
-def run_cross_validation(samples: list[Sample], config: RunConfig,
-                         threads: int = 1) -> tuple[EvalReport, list[DcaModel]]:
-    """Train one model per fold; metrics come from the held-out fold only."""
-    x, y = load_arrays(samples, config.clahe, config.backbone.input_size)
+def run_cross_validation(samples: list[Sample], x: np.ndarray, y: np.ndarray,
+                         config: RunConfig, threads: int = 1) -> tuple[EvalReport, list[DcaModel]]:
+    """Train one model per fold on `x, y`, the preprocessed `samples`; metrics
+    come from the held-out fold only."""
     plan = kfold_split(samples, config.k_folds, config.seed)
     fold_seqs = np.random.SeedSequence(config.seed).spawn(config.k_folds)
 

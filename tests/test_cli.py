@@ -48,6 +48,14 @@ class TestTrain:
         assert ((root / "out" / "report.csv").read_bytes()
                 == (root / "out2" / "report.csv").read_bytes())
 
+    def test_thread_count_does_not_change_report(self, workspace, monkeypatch):
+        root, config_path = workspace
+        monkeypatch.setenv("DCA_THREADS", "2")
+        assert main(["train", "--config", str(config_path),
+                     "--out", str(root / "out_threads")]) == 0
+        assert ((root / "out" / "report.csv").read_bytes()
+                == (root / "out_threads" / "report.csv").read_bytes())
+
     def test_no_stray_temp_files(self, workspace):
         root, _ = workspace
         assert not list((root / "out").glob(".report.csv.*"))
@@ -117,6 +125,22 @@ class TestFailurePaths:
         path.write_text(json.dumps({"learning_rate": 0.1}))
         assert main(["gen", "--config", str(path)]) == 1
         assert "learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_invalid_thread_count_is_an_error(self, workspace, monkeypatch, capsys, value):
+        root, config_path = workspace
+        monkeypatch.setenv("DCA_THREADS", value)
+        assert main(["eval", "--config", str(config_path),
+                     "--checkpoint", str(root / "out" / "fold_0.dcam")]) == 1
+        assert capsys.readouterr().err == (f"error: ValueError: DCA_THREADS must be a "
+                                           f"positive integer, got {value!r}\n")
+
+    def test_malformed_config_is_one_located_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"clahe": 5}))
+        assert main(["gen", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: ValueError: {path}: 'clahe' must be "
+                                           f"dict, got int\n")
 
     def test_seed_override_changes_corpus(self, tmp_path):
         cfg = dict(TINY, data_dir=str(tmp_path / "d1"), synthetic={"count": 4, "size": 16})

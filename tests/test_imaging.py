@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dcan.imaging import (ClaheConfig, Image, ImageFormatError, clahe,
-                          read_ppm, resize_bilinear, rgb_to_ycbcr, write_ppm)
+from dcan.imaging import (ClaheConfig, Image, ImageFormatError, clahe, read_ppm,
+                          resize_bilinear, rgb_to_ycbcr, write_ppm, ycbcr_to_rgb)
 
 
 def random_image(rng, w, h, channels=3):
@@ -142,6 +142,10 @@ class TestClahe:
         assert out.pixels.dtype == np.uint8
         assert out.pixels.shape == img.pixels.shape
 
+    def test_bins_below_luma_range_rejected(self):
+        with pytest.raises(ValueError, match="bins"):
+            ClaheConfig(bins=128)
+
     def test_tiles_larger_than_image_rejected(self):
         img = Image(4, 4, 1, np.zeros((4, 4, 1), dtype=np.uint8))
         with pytest.raises(ValueError):
@@ -160,3 +164,64 @@ class TestClahe:
         _, cb_out, cr_out = rgb_to_ycbcr(out.pixels)
         assert np.abs(cb_out.astype(int) - cb_in.astype(int)).mean() < 4
         assert np.abs(cr_out.astype(int) - cr_in.astype(int)).mean() < 4
+
+
+def clahe_loop_reference(img, config):
+    """CLAHE as one equalization per tile in a Python loop, blended with
+    three-array LUT indexing: the formulation `clahe` must match bit for bit."""
+    if img.channels == 3:
+        luma, cb, cr = rgb_to_ycbcr(img.pixels)
+    else:
+        luma = img.pixels[..., 0].astype(np.int32)
+    t, bins = config.tiles, config.bins
+    ye = np.rint(np.linspace(0, img.height, t + 1)).astype(int)
+    xe = np.rint(np.linspace(0, img.width, t + 1)).astype(int)
+    luts = np.empty((t, t, bins), dtype=np.uint8)
+    for i in range(t):
+        for j in range(t):
+            values = luma[ye[i]:ye[i + 1], xe[j]:xe[j + 1]]
+            hist = np.bincount(values.ravel(), minlength=bins).astype(np.float64)
+            total = values.size
+            clip = config.clip_limit * total / bins
+            excess = np.maximum(hist - clip, 0.0).sum()
+            hist = np.minimum(hist, clip) + excess / bins
+            cdf = np.cumsum(hist)
+            midpoint = cdf - hist / 2.0
+            luts[i, j] = np.clip(np.rint(255.0 * midpoint / total), 0, 255).astype(np.uint8)
+    cy = np.array([(ye[i] + ye[i + 1] - 1) / 2.0 for i in range(t)])
+    cx = np.array([(xe[j] + xe[j + 1] - 1) / 2.0 for j in range(t)])
+    yy = np.arange(img.height, dtype=np.float64)
+    xx = np.arange(img.width, dtype=np.float64)
+    iy0 = np.clip(np.searchsorted(cy, yy, side="right") - 1, 0, t - 1)
+    ix0 = np.clip(np.searchsorted(cx, xx, side="right") - 1, 0, t - 1)
+    iy1 = np.minimum(iy0 + 1, t - 1)
+    ix1 = np.minimum(ix0 + 1, t - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wy = np.where(iy1 > iy0, (yy - cy[iy0]) / (cy[iy1] - cy[iy0]), 0.0)
+        wx = np.where(ix1 > ix0, (xx - cx[ix0]) / (cx[ix1] - cx[ix0]), 0.0)
+    wy = np.clip(wy, 0.0, 1.0)[:, None]
+    wx = np.clip(wx, 0.0, 1.0)[None, :]
+    a, b, c, d, v = iy0[:, None], iy1[:, None], ix0[None, :], ix1[None, :], luma
+    blended = ((1 - wy) * (1 - wx) * luts[a, c, v] + (1 - wy) * wx * luts[a, d, v]
+               + wy * (1 - wx) * luts[b, c, v] + wy * wx * luts[b, d, v])
+    eq = np.clip(np.rint(blended), 0, 255).astype(np.int32)
+    if img.channels == 3:
+        return ycbcr_to_rgb(eq, cb, cr)
+    return eq.astype(np.uint8)[..., None]
+
+
+def test_clahe_bitwise_matches_loop_reference():
+    rng = np.random.default_rng(10)
+    for trial in range(120):
+        w, h = (int(v) for v in rng.integers(8, 141, size=2))
+        channels = 3 if trial % 2 else 1
+        if trial % 3 == 0:  # flat regions make clipped, redistributed histograms
+            pixels = np.clip(rng.normal(rng.uniform(0, 255), rng.uniform(1, 30),
+                                        (h, w, channels)), 0, 255).astype(np.uint8)
+        else:
+            pixels = rng.integers(0, 256, size=(h, w, channels), dtype=np.uint8)
+        img = Image(w, h, channels, pixels)
+        config = ClaheConfig(tiles=int(rng.integers(1, 9)),
+                             clip_limit=float(rng.choice([1.0, 2.0, rng.uniform(1, 6)])))
+        assert np.array_equal(clahe(img, config).pixels, clahe_loop_reference(img, config)), \
+            (w, h, channels, config)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,24 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="learning_rate"):
             RunConfig.from_dict({"adamw": {"learning_rate": 0.1}})
 
+    def test_truncated_file_names_path_line_and_column(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"epochs": 2,\n "clahe": {"tiles": ')
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: Expecting value: line 2 column 21 "):
+            RunConfig.from_json(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"clahe": 5}', "'clahe' must be dict, got int"),
+        ('{"epochs": "3"}', "'epochs' must be int, got str"),
+        ('{"clahe": {"tiles": "8"}}', "bad entry in 'clahe': '<' not supported"),
+        ('[1, 2]', "config must be a JSON object, got list"),
+    ])
+    def test_malformed_entry_names_path_and_key(self, tmp_path, text, message):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            RunConfig.from_json(path)
+
     def test_defaults(self):
         cfg = RunConfig.from_dict({})
         assert cfg.epochs == 15 and cfg.k_folds == 5
@@ -62,6 +81,14 @@ class TestPipeline:
         assert x.min() >= 0.0 and x.max() <= 1.0
         assert set(y) == {0, 1}
 
+    def test_load_arrays_threads_identical(self, corpus):
+        root, cfg = corpus
+        samples = load_dataset(root)
+        x1, y1 = load_arrays(samples, cfg.clahe, cfg.backbone.input_size, threads=1)
+        x2, y2 = load_arrays(samples, cfg.clahe, cfg.backbone.input_size, threads=2)
+        assert np.array_equal(x1, x2)
+        assert y1.tolist() == y2.tolist() == [s.label for s in samples]
+
     def test_training_reduces_loss(self, corpus):
         root, cfg = corpus
         samples = load_dataset(root)
@@ -74,8 +101,9 @@ class TestPipeline:
     def test_cross_validation_determinism(self, corpus):
         root, cfg = corpus
         samples = load_dataset(root)
-        r1, _ = run_cross_validation(samples, cfg)
-        r2, _ = run_cross_validation(samples, cfg)
+        x, y = load_arrays(samples, cfg.clahe, cfg.backbone.input_size)
+        r1, _ = run_cross_validation(samples, x, y, cfg)
+        r2, _ = run_cross_validation(samples, x, y, cfg)
         assert r1.to_csv() == r2.to_csv()
         assert len(r1.folds) == cfg.k_folds
 
