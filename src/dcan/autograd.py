@@ -218,15 +218,18 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
+def softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of a plain array along `axis`, shifted by the max to stay finite."""
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def spatial_softmax(x: Tensor) -> Tensor:
     """Softmax over the H*W positions of each (sample, channel) slice."""
     if x.data.ndim != 4:
         raise ShapeError(f"spatial_softmax input must be rank 4, got rank {x.data.ndim}")
     n, h, w, c = x.shape
-    flat = x.data.reshape(n, h * w, c)
-    z = flat - flat.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = softmax(x.data.reshape(n, h * w, c), axis=1)
     out = Tensor(s.reshape(n, h, w, c))
 
     def bwd(g):
@@ -238,13 +241,12 @@ def spatial_softmax(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
+# unused by dcan; perfbench's tracer patches it by name until ROADMAP item 2 lands
 def softmax_rows(x: Tensor) -> Tensor:
     """Row softmax on rank-2 input (class probabilities)."""
     if x.data.ndim != 2:
         raise ShapeError(f"softmax_rows input must be rank 2, got rank {x.data.ndim}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = softmax(x.data, axis=1)
     out = Tensor(s)
 
     def bwd(g):

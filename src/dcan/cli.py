@@ -103,14 +103,14 @@ def cmd_explain(config: RunConfig, checkpoint: str, image_path: str) -> None:
     size = model.backbone.input_size
     base = resize_bilinear(clahe(read_ppm(Path(image_path).read_bytes()), config.clahe), size)
     x = Tensor(preprocess_sample(image_path, config.clahe, size)[None, ...])
-    probs, maps = model.forward(x, training=False)
-    target = int(probs.data[0].argmax())
+    probs, maps, saliency = gradcam_pp(model, x)
+    target = int(probs.argmax())
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    export_heatmap(gradcam_pp(model, x, target), base, out / "gradcam.ppm")
+    export_heatmap(saliency, base, out / "gradcam.ppm")
     for name in maps.named():
         export_heatmap(attention_heatmap(maps, name, size), base, out / f"{name}.ppm")
-    print(f"predicted class {target} (p={probs.data[0, target]:.4f}); overlays in {out}")
+    print(f"predicted class {target} (p={probs[target]:.4f}); overlays in {out}")
 
 
 def cmd_gradcheck(config: RunConfig) -> None:
@@ -132,8 +132,8 @@ def cmd_gradcheck(config: RunConfig) -> None:
     onehot[0, 0] = 1.0
 
     def loss_fn():
-        probs, _ = model.forward(Tensor(x), training=False)
-        return cross_entropy(probs, onehot)
+        logits, _ = model.forward(Tensor(x), training=False)
+        return cross_entropy(logits, onehot)
 
     report = grad_check(loss_fn, model.params, h=1e-5, tol=1e-4)
     for name, err in sorted(report["per_parameter"].items()):

@@ -1,8 +1,9 @@
 """GradCAM++ saliency on the attended feature map, plus heatmap export.
 
 The saliency target layer is the attention-weighted feature map (the block's
-output); channel weights use the exponential-score closed form, which needs
-only first-order gradients of the class logit.
+output); channel weights use the exponential-score closed form of Grad-CAM++
+(Chattopadhay et al., 2018), which needs only first-order gradients of the
+class logit.
 """
 
 from __future__ import annotations
@@ -12,18 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import AttentionMaps, dca_forward
-from .autograd import Tape, Tensor, backward, elementwise, tsum
+from .attention import AttentionMaps
+from .autograd import Tape, Tensor, backward, elementwise, softmax, tsum
 from .imaging import Image, bilinear, write_ppm
 from .model import DcaModel
 
 
 @dataclass
 class Heatmap:
-    width: int
-    height: int
     values: np.ndarray  # [height, width] floats in [0, 1]
-    provenance: str
     flagged: bool = False  # true when the source gradient vanished everywhere
 
 
@@ -49,29 +47,30 @@ def gradcam_map(activations: np.ndarray, gradients: np.ndarray) -> np.ndarray:
     return np.maximum((activations * weights).sum(axis=2), 0.0)
 
 
-def gradcam_pp(model: DcaModel, image: Tensor, target_class: int) -> Heatmap:
-    """Saliency heatmap for one image (batch of 1), upscaled to image size."""
+def gradcam_pp(model: DcaModel, image: Tensor) -> tuple[np.ndarray, AttentionMaps, Heatmap]:
+    """Explain the predicted class of one image (batch of 1) from one taped forward.
+
+    Returns the class probabilities, the attention maps and the saliency
+    heatmap, upscaled to the image size.
+    """
     if image.data.ndim != 4 or image.shape[0] != 1:
         raise ValueError("gradcam_pp expects a single-image batch [1,S,S,3]")
-    onehot = np.zeros((1, model.head.num_classes))
-    onehot[0, target_class] = 1.0
     with Tape() as tape:
-        features = model.backbone_forward(image)
-        f_dca, _ = dca_forward(features, model.dca, model.dca_params)
-        logits = model.head_logits(f_dca, training=False)
+        logits, maps = model.forward(image, training=False)
+        probs = softmax(logits.data, axis=1)[0]
+        onehot = np.zeros_like(logits.data)
+        onehot[0, probs.argmax()] = 1.0
         score = tsum(elementwise("mul", logits, Tensor(onehot)))
     backward(score, tape)
-    grads = f_dca.grad.copy() if f_dca.grad is not None else np.zeros_like(f_dca.data)
     for p in model.params.values():
         p.zero_grad()
 
     size = model.backbone.input_size
+    grads = maps.f_dca.grad
     if not np.any(grads):
-        return Heatmap(size, size, np.zeros((size, size)), "gradcam++", flagged=True)
-    raw = gradcam_map(f_dca.data[0], grads[0])
-    up = bilinear(raw, size)
-    return Heatmap(size, size, _normalize(up), "gradcam++",
-                   flagged=not np.any(raw > 0))
+        return probs, maps, Heatmap(np.zeros((size, size)), flagged=True)
+    raw = gradcam_map(maps.f_dca.data[0], grads[0])
+    return probs, maps, Heatmap(_normalize(bilinear(raw, size)), flagged=not np.any(raw > 0))
 
 
 def attention_heatmap(maps: AttentionMaps, name: str, size: int) -> Heatmap:
@@ -80,22 +79,23 @@ def attention_heatmap(maps: AttentionMaps, name: str, size: int) -> Heatmap:
     if t is None:
         raise ValueError(f"attention map {name} absent (branch disabled)")
     raw = np.maximum(t.data[0].mean(axis=2), 0.0)
-    return Heatmap(size, size, _normalize(bilinear(raw, size)), name)
+    return Heatmap(_normalize(bilinear(raw, size)))
 
 
 def export_heatmap(heatmap: Heatmap, base_image: Image, out_path) -> None:
     """Write <stem>.pgm (raw map) and <stem>.ppm (red overlay at 50% blend)."""
-    if (heatmap.width, heatmap.height) != (base_image.width, base_image.height):
-        raise ValueError(f"heatmap {heatmap.width}x{heatmap.height} does not match "
+    height, width = heatmap.values.shape
+    if (width, height) != (base_image.width, base_image.height):
+        raise ValueError(f"heatmap {width}x{height} does not match "
                          f"base image {base_image.width}x{base_image.height}")
     base = Path(out_path)
     stem = base.with_suffix("")
     gray = np.clip(np.rint(heatmap.values * 255.0), 0, 255).astype(np.uint8)
-    Path(f"{stem}.pgm").write_bytes(write_ppm(Image(heatmap.width, heatmap.height, 1, gray)))
+    Path(f"{stem}.pgm").write_bytes(write_ppm(Image(width, height, 1, gray)))
 
     rgb = base_image.pixels if base_image.channels == 3 else np.repeat(base_image.pixels, 3, axis=2)
     alpha = 0.5 * heatmap.values
     out = rgb.astype(np.float64).copy()
     out[..., 0] = np.floor((1.0 - alpha) * out[..., 0] + alpha * 255.0)
     Path(f"{stem}.ppm").write_bytes(write_ppm(
-        Image(heatmap.width, heatmap.height, 3, np.clip(out, 0, 255).astype(np.uint8))))
+        Image(width, height, 3, np.clip(out, 0, 255).astype(np.uint8))))

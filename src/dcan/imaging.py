@@ -30,19 +30,19 @@ class Image:
             raise ValueError(f"channels must be 1 or 3, got {self.channels}")
 
 
+LUMA_BINS = 256  # one histogram bin per 8-bit luma value
+
+
 @dataclass
 class ClaheConfig:
     tiles: int = 8
     clip_limit: float = 2.0
-    bins: int = 256
 
     def __post_init__(self):
         if self.tiles < 1:
             raise ValueError("tiles must be >= 1")
         if self.clip_limit < 1.0:
             raise ValueError("clip_limit must be >= 1")
-        if self.bins < 256:
-            raise ValueError(f"bins must be >= 256 to hold every 8-bit luma, got {self.bins}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +169,10 @@ def ycbcr_to_rgb(y: np.ndarray, cb: np.ndarray, cr: np.ndarray) -> np.ndarray:
 
 def _equalize(hist: np.ndarray, total, config: ClaheConfig) -> np.ndarray:
     """Clipped-equalization LUTs of the histograms on the last axis, of `total` pixels each."""
-    bins = config.bins
     hist = hist.astype(np.float64)
-    clip = config.clip_limit * total / bins
+    clip = config.clip_limit * total / LUMA_BINS
     excess = np.maximum(hist - clip, 0.0).sum(axis=-1, keepdims=True)
-    hist = np.minimum(hist, clip) + excess / bins  # uniform redistribution
+    hist = np.minimum(hist, clip) + excess / LUMA_BINS  # uniform redistribution
     cdf = np.cumsum(hist, axis=-1)
     midpoint = cdf - hist / 2.0  # bin-center CDF keeps constant inputs fixed
     return np.clip(np.rint(255.0 * midpoint / total), 0, 255).astype(np.uint8)
@@ -181,7 +180,7 @@ def _equalize(hist: np.ndarray, total, config: ClaheConfig) -> np.ndarray:
 
 def _tile_lut(values: np.ndarray, config: ClaheConfig) -> np.ndarray:
     """Clipped-histogram equalization transfer function for one tile."""
-    return _equalize(np.bincount(values.ravel(), minlength=config.bins), values.size, config)
+    return _equalize(np.bincount(values.ravel(), minlength=LUMA_BINS), values.size, config)
 
 
 def _tile_edges(extent: int, tiles: int) -> np.ndarray:
@@ -198,7 +197,7 @@ def clahe(img: Image, config: ClaheConfig) -> Image:
         luma = img.pixels[..., 0].astype(np.int32)
 
     # every tile's histogram from one bincount over (tile id, luma) keys
-    t, bins = config.tiles, config.bins
+    t, bins = config.tiles, LUMA_BINS
     ye = _tile_edges(img.height, t)
     xe = _tile_edges(img.width, t)
     ty = np.repeat(np.arange(t), np.diff(ye))

@@ -1,7 +1,7 @@
 """Backbone stand-in, attention block, and regularized classification head.
 
 The backbone is a small strided-conv stack emitting a channels-last feature
-map; the head is GAP -> dense+relu -> dropout -> dense -> row softmax with an
+map; the head is GAP -> dense+relu -> dropout -> dense -> class logits with an
 optional unit-norm constraint on the dense weight columns.
 """
 
@@ -132,15 +132,17 @@ class DcaModel:
         dropped = dropout(hidden, self.head.dropout_rate, training, rng)
         return dense(dropped, self.params["head_w2"], self.params["head_b2"])
 
+    # unused by dcan; perfbench's tracer patches it by name until ROADMAP item 2 lands
     def head_forward(self, f_dca: Tensor, training: bool = False,
                      rng: np.random.Generator | None = None) -> Tensor:
         return softmax_rows(self.head_logits(f_dca, training, rng))
 
     def forward(self, image: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Tensor, AttentionMaps]:
+        """Class logits [N, num_classes] and the attention block's maps."""
         features = self.backbone_forward(image)
         f_dca, maps = dca_forward(features, self.dca, self.dca_params)
-        return self.head_forward(f_dca, training, rng), maps
+        return self.head_logits(f_dca, training, rng), maps
 
     # ------------------------------------------------------------------
     # checkpoint io: magic, version, length-prefixed JSON config, then

@@ -6,9 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import ShapeError, Tensor, _record
-
-LOG_CLAMP = 1e-12  # keeps log finite on saturated softmax outputs
+from .autograd import ShapeError, Tensor, _record, softmax
 
 
 @dataclass
@@ -18,7 +16,6 @@ class AdamWConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 1e-4
-    bias_correction: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -27,28 +24,28 @@ class AdamWConfig:
             raise ValueError("eta and epsilon must be positive, weight_decay non-negative")
 
 
-def cross_entropy(probabilities: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood against one-hot labels.
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-softmax of `logits` [N, C] at one-hot `labels` [N, C].
 
-    labels is a constant [N, C] one-hot array; the loss differentiates
-    through the softmax that produced `probabilities`.
+    Log-softmax and NLL are fused, so the loss stays finite and its gradient
+    (softmax(logits) - labels) / N stays informative however confident and
+    wrong a row is.
     """
     y = np.asarray(labels, dtype=np.float64)
-    if probabilities.shape != y.shape:
-        raise ShapeError(f"cross_entropy shape mismatch: {probabilities.shape} vs {y.shape}")
+    if logits.shape != y.shape:
+        raise ShapeError(f"cross_entropy shape mismatch: {logits.shape} vs {y.shape}")
     if not (np.all((y == 0.0) | (y == 1.0)) and (y.sum(axis=1) == 1.0).all()):
         raise ValueError("labels must be one-hot")
     n = y.shape[0]
-    # clamp from below only so perfect predictions give exactly zero loss
-    p = np.maximum(probabilities.data, LOG_CLAMP)
-    out = Tensor(-(y * np.log(p)).sum() / n)
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    out = Tensor(-(y * log_p).sum() / n)
 
     def bwd(g):
-        if probabilities.requires_grad:
-            mask = probabilities.data > LOG_CLAMP
-            probabilities.accumulate_grad(float(g) * np.where(mask, -y / p, 0.0) / n)
+        if logits.requires_grad:
+            logits.accumulate_grad(float(g) * (softmax(logits.data, axis=1) - y) / n)
 
-    return _record(out, (probabilities,), bwd)
+    return _record(out, (logits,), bwd)
 
 
 class AdamWState:
@@ -70,11 +67,8 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, config: AdamWConfig
         g = p.grad
         m = state.m[name] = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
         v = state.v[name] = config.beta2 * state.v[name] + (1.0 - config.beta2) * g * g
-        if config.bias_correction:
-            m_hat = m / (1.0 - config.beta1 ** state.step)
-            v_hat = v / (1.0 - config.beta2 ** state.step)
-        else:
-            m_hat, v_hat = m, v
+        m_hat = m / (1.0 - config.beta1 ** state.step)
+        v_hat = v / (1.0 - config.beta2 ** state.step)
         p.data = p.data - config.eta * (
             m_hat / (np.sqrt(v_hat) + config.epsilon) + config.weight_decay * p.data)
         p.zero_grad()

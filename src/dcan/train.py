@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import DcaConfig
-from .autograd import Tape, Tensor, backward
+from .autograd import Tape, Tensor, backward, softmax
 from .data import Sample, SyntheticConfig, kfold_split
 from .imaging import ClaheConfig, read_ppm, resize_bilinear, clahe
 from .metrics import EvalReport, FoldMetrics, confusion, metrics
@@ -141,8 +141,8 @@ def train_model(x: np.ndarray, y: np.ndarray, config: RunConfig,
         for step, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
             with Tape() as tape:
-                probs, _ = model.forward(Tensor(x[idx]), training=True, rng=dropout_rng)
-                loss = cross_entropy(probs, onehot[idx])
+                logits, _ = model.forward(Tensor(x[idx]), training=True, rng=dropout_rng)
+                loss = cross_entropy(logits, onehot[idx])
             backward(loss, tape)
             _require_finite(loss, model.params, f"epoch {epoch}, step {step}")
             adamw_step(model.params, state, config.adamw)
@@ -157,8 +157,8 @@ def predict_proba(model: DcaModel, x: np.ndarray, batch_size: int = 32,
     batches = [x[i:i + batch_size] for i in range(0, len(x), batch_size)]
 
     def infer(batch):
-        probs, _ = model.forward(Tensor(batch), training=False)
-        return probs.data
+        logits, _ = model.forward(Tensor(batch), training=False)
+        return softmax(logits.data, axis=1)
 
     return np.concatenate(_ordered_map(infer, batches, threads), axis=0)
 

@@ -104,8 +104,8 @@ def test_gradient_suite_full_model():
     onehot = np.array([[1.0, 0.0]])
 
     def loss_fn():
-        probs, _ = model.forward(Tensor(x), training=False)
-        return cross_entropy(probs, onehot)
+        logits, _ = model.forward(Tensor(x), training=False)
+        return cross_entropy(logits, onehot)
 
     start = time.monotonic()
     result = grad_check(loss_fn, model.params, h=1e-5, tol=1e-4)
@@ -285,12 +285,9 @@ def test_explanation_overlap(corpus, trained):
     blob_mass, highlight_mass = [], []
     for i in corpus.test_idx:
         sample = corpus.samples[i]
-        x = Tensor(corpus.x[i][None])
-        probs, _ = model.forward(x, training=False)
-        pred = int(probs.data[0].argmax())
-        if pred != corpus.y[i]:
+        probs, _, hm = gradcam_pp(model, Tensor(corpus.x[i][None]))
+        if probs.argmax() != corpus.y[i]:
             continue
-        hm = gradcam_pp(model, x, pred)
         total_mass = hm.values.sum()
         if total_mass <= 0:
             continue

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dcan.cli import ABLATION_ROWS, main
+from dcan.model import DcaModel
 
 
 TINY = {
@@ -102,6 +103,21 @@ class TestExplain:
         for name in ("gradcam", "f_s", "f_g", "f_c", "f_a", "f_r"):
             assert (out / f"{name}.ppm").stat().st_size > 0
         assert (out / "gradcam.pgm").stat().st_size > 0
+
+    def test_one_forward_per_image(self, workspace, monkeypatch):
+        # the backbone count also catches a second pass that bypasses forward
+        root, config_path = workspace
+        calls = {"forward": 0, "backbone_forward": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _original=getattr(DcaModel, name), **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(DcaModel, name, counted)
+        image = sorted((root / "data" / "normal").glob("*.ppm"))[0]
+        assert main(["explain", "--config", str(config_path),
+                     "--checkpoint", str(root / "out" / "fold_0.dcam"),
+                     "--image", str(image), "--out", str(root / "explain_once")]) == 0
+        assert calls == {"forward": 1, "backbone_forward": 1}
 
 
 class TestGradcheck:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from dcan.attention import DcaConfig
-from dcan.autograd import Tensor
+from dcan.attention import DcaConfig, dca_forward
+from dcan.autograd import Tape, Tensor, backward, elementwise, softmax, tsum
 from dcan.explain import (Heatmap, attention_heatmap, export_heatmap,
                           gradcam_map, gradcam_pp, gradcam_weights)
-from dcan.imaging import Image, read_ppm
+from dcan.imaging import Image, bilinear, read_ppm
 from dcan.model import BackboneConfig, DcaModel, HeadConfig
 
 
@@ -43,13 +43,13 @@ class TestGradcamModel:
         for name, p in model.params.items():
             if name.startswith("backbone"):
                 p.data = np.zeros_like(p.data)
-        hm = gradcam_pp(model, Tensor(np.random.default_rng(1).random((1, 16, 16, 3))), 0)
+        _, _, hm = gradcam_pp(model, Tensor(np.random.default_rng(1).random((1, 16, 16, 3))))
         assert hm.flagged
         np.testing.assert_array_equal(hm.values, 0.0)
 
     def test_normalized_output(self):
         model = small_model(seed=2)
-        hm = gradcam_pp(model, Tensor(np.random.default_rng(3).random((1, 16, 16, 3))), 1)
+        _, _, hm = gradcam_pp(model, Tensor(np.random.default_rng(3).random((1, 16, 16, 3))))
         assert hm.values.shape == (16, 16)
         assert np.all(hm.values >= 0.0) and np.all(hm.values <= 1.0)
         if np.any(hm.values > 0):
@@ -57,13 +57,37 @@ class TestGradcamModel:
 
     def test_leaves_parameter_grads_clean(self):
         model = small_model(seed=4)
-        gradcam_pp(model, Tensor(np.random.default_rng(5).random((1, 16, 16, 3))), 0)
+        gradcam_pp(model, Tensor(np.random.default_rng(5).random((1, 16, 16, 3))))
         assert all(p.grad is None for p in model.params.values())
+
+    def test_returns_the_forward_probabilities_and_maps(self):
+        model = small_model(seed=15)
+        x = Tensor(np.random.default_rng(16).random((1, 16, 16, 3)))
+        probs, maps, _ = gradcam_pp(model, x)
+        logits, plain = model.forward(x)
+        np.testing.assert_array_equal(probs, softmax(logits.data, axis=1)[0])
+        for name in ("f_s", "f_g", "f_c", "f_a", "f_r", "f_dca"):
+            np.testing.assert_array_equal(getattr(maps, name).data, getattr(plain, name).data)
+
+    def test_matches_a_second_pass_on_the_predicted_class(self):
+        # reference: a second taped pass through the model's stages, scored on
+        # the logit of the class an untaped forward predicted
+        model = small_model(seed=17)
+        x = Tensor(np.random.default_rng(18).random((1, 16, 16, 3)))
+        _, _, hm = gradcam_pp(model, x)
+        logits, _ = model.forward(x)
+        onehot = np.eye(2)[[int(logits.data[0].argmax())]]
+        with Tape() as tape:
+            f_dca, _ = dca_forward(model.backbone_forward(x), model.dca, model.dca_params)
+            score = tsum(elementwise("mul", model.head_logits(f_dca), Tensor(onehot)))
+        backward(score, tape)
+        up = bilinear(gradcam_map(f_dca.data[0], f_dca.grad[0]), 16)
+        np.testing.assert_array_equal(hm.values, up / up.max())
 
     def test_rejects_batches(self):
         model = small_model()
         with pytest.raises(ValueError):
-            gradcam_pp(model, Tensor(np.zeros((2, 16, 16, 3))), 0)
+            gradcam_pp(model, Tensor(np.zeros((2, 16, 16, 3))))
 
 
 class TestBatchInvariance:
@@ -88,7 +112,7 @@ class TestHeatmapExport:
     def test_zero_map_overlay_equals_base(self, tmp_path):
         rng = np.random.default_rng(8)
         base = self.base_image(rng)
-        hm = Heatmap(8, 8, np.zeros((8, 8)), "f_s")
+        hm = Heatmap(np.zeros((8, 8)))
         export_heatmap(hm, base, tmp_path / "out.ppm")
         overlay = read_ppm((tmp_path / "out.ppm").read_bytes())
         np.testing.assert_array_equal(overlay.pixels, base.pixels)
@@ -96,7 +120,7 @@ class TestHeatmapExport:
     def test_full_map_blend_arithmetic(self, tmp_path):
         rng = np.random.default_rng(9)
         base = self.base_image(rng)
-        hm = Heatmap(8, 8, np.ones((8, 8)), "gradcam++")
+        hm = Heatmap(np.ones((8, 8)))
         export_heatmap(hm, base, tmp_path / "out.ppm")
         overlay = read_ppm((tmp_path / "out.ppm").read_bytes())
         expected_red = np.floor(0.5 * base.pixels[..., 0].astype(float) + 0.5 * 255)
@@ -108,15 +132,19 @@ class TestHeatmapExport:
         base = self.base_image(rng)
         values = rng.random((8, 8))
         values /= values.max()
-        export_heatmap(Heatmap(8, 8, values, "f_g"), base, tmp_path / "map.ppm")
+        export_heatmap(Heatmap(values), base, tmp_path / "map.ppm")
         back = read_ppm((tmp_path / "map.pgm").read_bytes())
         assert np.max(np.abs(back.pixels[..., 0] / 255.0 - values)) <= 1.0 / 255.0
 
     def test_size_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
-            export_heatmap(Heatmap(4, 4, np.zeros((4, 4)), "f_a"),
+            export_heatmap(Heatmap(np.zeros((4, 4))),
                            self.base_image(rng, 8), tmp_path / "x.ppm")
+        wide = Image(8, 6, 3, rng.integers(0, 256, (6, 8, 3), dtype=np.uint8))
+        export_heatmap(Heatmap(np.zeros((6, 8))), wide, tmp_path / "wide.ppm")
+        with pytest.raises(ValueError, match="heatmap 6x8 does not match base image 8x6"):
+            export_heatmap(Heatmap(np.zeros((8, 6))), wide, tmp_path / "x.ppm")
 
 
 class TestAttentionHeatmap:
@@ -124,7 +152,6 @@ class TestAttentionHeatmap:
         model = small_model(seed=12)
         _, maps = model.forward(Tensor(np.random.default_rng(13).random((1, 16, 16, 3))))
         hm = attention_heatmap(maps, "f_s", 16)
-        assert hm.provenance == "f_s"
         assert hm.values.shape == (16, 16)
         assert hm.values.max() == pytest.approx(1.0)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dcan.attention import DcaConfig
-from dcan.autograd import ShapeError, Tape, Tensor, backward, grad_check
+from dcan.autograd import ShapeError, Tape, Tensor, backward, grad_check, softmax
 from dcan.model import BackboneConfig, CheckpointError, DcaModel, HeadConfig
 from dcan.optim import AdamWConfig, AdamWState, adamw_step, cross_entropy
 
@@ -81,19 +81,20 @@ class TestHead:
         model = small_model(unit_norm=False)
         for name in ("head_w1", "head_b1", "head_w2", "head_b2"):
             model.params[name].data = np.zeros_like(model.params[name].data)
-        probs = model.head_forward(Tensor(np.random.default_rng(5).random((3, 4, 4, 8))))
-        np.testing.assert_allclose(probs.data, 0.5)
+        logits = model.head_logits(Tensor(np.random.default_rng(5).random((3, 4, 4, 8))))
+        np.testing.assert_allclose(softmax(logits.data, axis=1), 0.5)
 
     def test_inference_deterministic(self):
         model = small_model(dropout_rate=0.5)
         x = Tensor(np.random.default_rng(6).random((2, 4, 4, 8)))
-        a = model.head_forward(x, training=False).data
-        b = model.head_forward(x, training=False).data
+        a = model.head_logits(x, training=False).data
+        b = model.head_logits(x, training=False).data
         np.testing.assert_array_equal(a, b)
 
     def test_rows_sum_to_one(self):
         model = small_model(seed=7)
-        probs = model.head_forward(Tensor(np.random.default_rng(8).random((5, 4, 4, 8)))).data
+        logits = model.head_logits(Tensor(np.random.default_rng(8).random((5, 4, 4, 8))))
+        probs = softmax(logits.data, axis=1)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
@@ -101,16 +102,16 @@ class TestHead:
 class TestModelForward:
     def test_batch_shapes(self):
         model = small_model()
-        probs, maps = model.forward(Tensor(np.random.default_rng(9).random((2, 16, 16, 3))))
-        assert probs.shape == (2, 2)
-        np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-12)
+        logits, maps = model.forward(Tensor(np.random.default_rng(9).random((2, 16, 16, 3))))
+        assert logits.shape == (2, 2)
+        np.testing.assert_allclose(softmax(logits.data, axis=1).sum(axis=1), 1.0, atol=1e-12)
         assert maps.f_dca.shape == (2, 4, 4, 8)
 
     def test_duplicate_image_identical_rows(self):
         model = small_model(seed=10)
         img = np.random.default_rng(11).random((16, 16, 3))
-        probs, _ = model.forward(Tensor(np.stack([img, img])))
-        np.testing.assert_array_equal(probs.data[0], probs.data[1])
+        logits, _ = model.forward(Tensor(np.stack([img, img])))
+        np.testing.assert_array_equal(logits.data[0], logits.data[1])
 
     def test_inference_bitwise_pure(self):
         model = small_model(seed=12)
@@ -130,8 +131,8 @@ class TestModelForward:
         onehot = np.array([[1.0, 0.0]])
 
         def loss_fn():
-            probs, _ = model.forward(x, training=False)
-            return cross_entropy(probs, onehot)
+            logits, _ = model.forward(x, training=False)
+            return cross_entropy(logits, onehot)
 
         report = grad_check(loss_fn, model.params, tol=1e-4)
         assert report["passed"], report
@@ -144,8 +145,8 @@ class TestUnitNormConstraint:
         x = Tensor(rng.random((4, 16, 16, 3)))
         onehot = np.eye(2)[[0, 1, 0, 1]]
         with Tape() as tape:
-            probs, _ = model.forward(x, training=True, rng=rng)
-            loss = cross_entropy(probs, onehot)
+            logits, _ = model.forward(x, training=True, rng=rng)
+            loss = cross_entropy(logits, onehot)
         backward(loss, tape)
         adamw_step(model.params, AdamWState(model.params), AdamWConfig())
         model.project_unit_norm()

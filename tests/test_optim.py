@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dcan.autograd import ShapeError, Tape, Tensor, backward, dense, softmax_rows, tsum
+from dcan.autograd import ShapeError, Tape, Tensor, backward
 from dcan.optim import AdamWConfig, AdamWState, adamw_step, cross_entropy, unit_norm_project
 
 
@@ -11,11 +11,8 @@ def adamw_oracle(theta0, grads, cfg):
     for t, g in enumerate(grads, start=1):
         m = cfg.beta1 * m + (1 - cfg.beta1) * g
         v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-        if cfg.bias_correction:
-            mh = m / (1 - cfg.beta1 ** t)
-            vh = v / (1 - cfg.beta2 ** t)
-        else:
-            mh, vh = m, v
+        mh = m / (1 - cfg.beta1 ** t)
+        vh = v / (1 - cfg.beta2 ** t)
         theta = theta - cfg.eta * (mh / (np.sqrt(vh) + cfg.epsilon) + cfg.weight_decay * theta)
     return theta
 
@@ -23,28 +20,38 @@ def adamw_oracle(theta0, grads, cfg):
 class TestCrossEntropy:
     def test_perfect_prediction(self):
         y = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss = cross_entropy(Tensor(y), y)
+        loss = cross_entropy(Tensor(60.0 * (2.0 * y - 1.0)), y)  # margins of 120
         assert 0.0 <= float(loss.data) <= 1e-11
 
     def test_uniform_two_class(self):
-        p = np.full((3, 2), 0.5)
+        z = np.full((3, 2), 0.7)
         y = np.eye(2)[[0, 1, 0]]
-        assert float(cross_entropy(Tensor(p), y).data) == pytest.approx(np.log(2), abs=1e-9)
+        assert float(cross_entropy(Tensor(z), y).data) == pytest.approx(np.log(2), abs=1e-9)
 
     def test_rejects_non_onehot(self):
         for y in ([[0.5, 0.5]], [[1.0, 1.0]], [[0.0, 0.0]]):
             with pytest.raises(ValueError, match="labels must be one-hot"):
-                cross_entropy(Tensor(np.full((1, 2), 0.5)), np.array(y))
+                cross_entropy(Tensor(np.zeros((1, 2))), np.array(y))
+
+    @pytest.mark.parametrize("high, low", [(30.0, -10.0), (1000.0, -1000.0)])
+    def test_confidently_wrong_row_keeps_its_gradient(self, high, low):
+        # log-softmax of [high, low] at class 1 is low - high; p rounds to [1, 0]
+        logits = Tensor(np.array([[high, low]]), requires_grad=True)
+        with Tape() as tape:
+            loss = cross_entropy(logits, np.array([[0.0, 1.0]]))
+        backward(loss, tape)
+        assert float(loss.data) == high - low
+        np.testing.assert_array_equal(logits.grad, [[1.0, -1.0]])
 
     def test_logit_gradient_is_p_minus_y_over_n(self):
         rng = np.random.default_rng(0)
         logits = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         y = np.eye(3)[[0, 2, 1, 1]]
         with Tape() as tape:
-            probs = softmax_rows(logits)
-            loss = cross_entropy(probs, y)
+            loss = cross_entropy(logits, y)
         backward(loss, tape)
-        np.testing.assert_allclose(logits.grad, (probs.data - y) / 4, atol=1e-7)
+        e = np.exp(logits.data)
+        np.testing.assert_allclose(logits.grad, (e / e.sum(axis=1, keepdims=True) - y) / 4, atol=1e-7)
 
     def test_logit_gradient_matches_fd(self):
         rng = np.random.default_rng(1)
@@ -52,11 +59,11 @@ class TestCrossEntropy:
         y = np.eye(2)[[0, 1]]
 
         def loss_at(zv):
-            return float(cross_entropy(softmax_rows(Tensor(zv)), y).data)
+            return float(cross_entropy(Tensor(zv), y).data)
 
         logits = Tensor(z, requires_grad=True)
         with Tape() as tape:
-            loss = cross_entropy(softmax_rows(logits), y)
+            loss = cross_entropy(logits, y)
         backward(loss, tape)
         h = 1e-6
         for i in range(z.size):
@@ -79,15 +86,14 @@ class TestAdamW:
         assert p.grad is None
 
     def test_pure_decay(self):
-        cfg = AdamWConfig(eta=0.1, weight_decay=0.5, bias_correction=False)
+        cfg = AdamWConfig(eta=0.1, weight_decay=0.5)
         p = Tensor(np.array([2.0]), requires_grad=True)
         p.grad = np.array([0.0])
         adamw_step({"p": p}, AdamWState({"p": p}), cfg)
         assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-12)
 
-    @pytest.mark.parametrize("bias_correction", [True, False])
-    def test_five_steps_match_recurrence_oracle(self, bias_correction):
-        cfg = AdamWConfig(eta=0.05, weight_decay=0.01, bias_correction=bias_correction)
+    def test_five_steps_match_recurrence_oracle(self):
+        cfg = AdamWConfig(eta=0.05, weight_decay=0.01)
         p = Tensor(np.array([1.0]), requires_grad=True)
         state = AdamWState({"p": p})
         grads = []
@@ -99,24 +105,23 @@ class TestAdamW:
         assert abs(p.data[0] - adamw_oracle(1.0, grads, cfg)) < 1e-15
 
     def test_lambda_zero_is_exactly_adam(self):
-        for bc in (True, False):
-            cfg = AdamWConfig(eta=0.02, weight_decay=0.0, bias_correction=bc)
-            pa = Tensor(np.array([0.7]), requires_grad=True)
-            state = AdamWState({"pa": pa})
-            pb = np.array([0.7])
-            m, v = np.zeros(1), np.zeros(1)
-            rng = np.random.default_rng(2)
-            for t in range(1, 11):
-                g = rng.standard_normal(1)
-                pa.grad = g.copy()
-                adamw_step({"pa": pa}, state, cfg)
-                # plain Adam reference: decay term dropped entirely
-                m = cfg.beta1 * m + (1 - cfg.beta1) * g
-                v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-                mh = m / (1 - cfg.beta1 ** t) if bc else m
-                vh = v / (1 - cfg.beta2 ** t) if bc else v
-                pb = pb - cfg.eta * (mh / (np.sqrt(vh) + cfg.epsilon))
-                np.testing.assert_array_equal(pa.data, pb)
+        cfg = AdamWConfig(eta=0.02, weight_decay=0.0)
+        pa = Tensor(np.array([0.7]), requires_grad=True)
+        state = AdamWState({"pa": pa})
+        pb = np.array([0.7])
+        m, v = np.zeros(1), np.zeros(1)
+        rng = np.random.default_rng(2)
+        for t in range(1, 11):
+            g = rng.standard_normal(1)
+            pa.grad = g.copy()
+            adamw_step({"pa": pa}, state, cfg)
+            # plain Adam reference: decay term dropped entirely
+            m = cfg.beta1 * m + (1 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+            mh = m / (1 - cfg.beta1 ** t)
+            vh = v / (1 - cfg.beta2 ** t)
+            pb = pb - cfg.eta * (mh / (np.sqrt(vh) + cfg.epsilon))
+            np.testing.assert_array_equal(pa.data, pb)
 
     def test_converges_on_quadratic(self):
         cfg = AdamWConfig(eta=0.1, weight_decay=0.0)

@@ -50,6 +50,8 @@ class TestRunConfig:
         ('{"clahe": 5}', "'clahe' must be dict, got int"),
         ('{"epochs": "3"}', "'epochs' must be int, got str"),
         ('{"clahe": {"tiles": "8"}}', "bad entry in 'clahe': '<' not supported"),
+        ('{"clahe": {"bins": 256}}',
+         "bad entry in 'clahe': ClaheConfig.__init__() got an unexpected keyword argument 'bins'"),
         ('[1, 2]', "config must be a JSON object, got list"),
     ])
     def test_malformed_entry_names_path_and_key(self, tmp_path, text, message):
