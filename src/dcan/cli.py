@@ -15,7 +15,7 @@ from .attention import DcaConfig
 from .autograd import Tensor, grad_check
 from .data import generate_synthetic, load_dataset
 from .imaging import read_ppm, resize_bilinear, clahe
-from .metrics import EvalReport
+from .metrics import METRIC_NAMES, EvalReport
 from .model import BackboneConfig, DcaModel, HeadConfig
 from .optim import cross_entropy
 from .explain import attention_heatmap, export_heatmap, gradcam_pp
@@ -54,7 +54,7 @@ def cmd_gen(config: RunConfig) -> None:
 def cmd_train(config: RunConfig, threads: int) -> None:
     samples = load_dataset(config.data_dir)
     x, y = load_arrays(samples, config.clahe, config.backbone.input_size, threads)
-    report, models = run_cross_validation(samples, x, y, config, threads)
+    report, models = run_cross_validation(x, y, config, threads)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for fold, model in enumerate(models):
@@ -84,15 +84,13 @@ ABLATION_ROWS = [  # spatial, gated, refinement toggle matrix
 def cmd_ablate(config: RunConfig, threads: int) -> None:
     samples = load_dataset(config.data_dir)
     x, y = load_arrays(samples, config.clahe, config.backbone.input_size, threads)
-    lines = ["spatial,gated,refinement,accuracy,precision,recall,f1,kappa"]
+    lines = ["spatial,gated,refinement," + ",".join(METRIC_NAMES)]
     for spatial, gated, refine in ABLATION_ROWS:
         dca = dataclasses.replace(config.dca, enable_spatial=spatial, enable_gated=gated,
                                   enable_refine=refine)
         cfg = dataclasses.replace(config, dca=dca)
-        report, _ = run_cross_validation(samples, x, y, cfg, threads)
-        cells = [f"{report.mean(n):.6f}±{report.std(n):.6f}"
-                 for n in ("accuracy", "precision", "recall", "f1", "kappa")]
-        lines.append(f"{int(spatial)},{int(gated)},{int(refine)}," + ",".join(cells))
+        report, _ = run_cross_validation(x, y, cfg, threads)
+        lines.append(f"{int(spatial)},{int(gated)},{int(refine)},{report.summary()}")
     out = Path(config.output_dir) / "ablation.csv"
     _atomic_write(out, "\n".join(lines) + "\n")
     print(f"ablation report at {out}")

@@ -17,26 +17,17 @@ import numpy as np
 from .imaging import Image, write_ppm
 
 CLASS_NAMES = ("normal", "abnormal")  # label 0, label 1
+ABNORMAL_FRACTION = 0.5
+BLOB_RADIUS_RANGE = (0.08, 0.25)  # blob semi-axes, as fractions of the image side
+HIGHLIGHT_COUNT_RANGE = (0, 4)  # specular highlights per image, inclusive
+NOISE_STD = 0.02  # per-pixel Gaussian noise, as a fraction of 255
 
 
 @dataclass
 class SyntheticConfig:
     count: int = 100
     size: int = 64
-    abnormal_fraction: float = 0.5
-    blob_radius_range: tuple[float, float] = (0.08, 0.25)
-    highlight_count_range: tuple[int, int] = (0, 4)
-    noise_std: float = 0.02
     seed: int = 0
-
-    def __post_init__(self):
-        self.blob_radius_range = tuple(self.blob_radius_range)
-        self.highlight_count_range = tuple(self.highlight_count_range)
-        if not (0.0 < self.abnormal_fraction < 1.0):
-            raise ValueError("abnormal_fraction must be in (0, 1)")
-        lo, hi = self.blob_radius_range
-        if not (0.0 < lo <= hi < 0.5):
-            raise ValueError("blob radii must lie within (0, 0.5) of the image side")
 
 
 @dataclass
@@ -44,19 +35,6 @@ class Sample:
     path: str
     label: int
     bbox: tuple[int, int, int, int] | None = None  # x0,y0,x1,y1; abnormal only
-
-
-@dataclass
-class FoldPlan:
-    k: int
-    assignments: list[int]  # sample index -> fold id
-    seed: int
-
-    def fold_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignments) if f == fold]
-
-    def train_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignments) if f != fold]
 
 
 BACKGROUND_RGB = np.array([185.0, 105.0, 110.0])  # mucosa pink
@@ -76,8 +54,8 @@ def _render_image(rng: np.random.Generator, config: SyntheticConfig,
 
     bbox = None
     if abnormal:
-        rx = rng.uniform(*config.blob_radius_range) * s
-        ry = rng.uniform(*config.blob_radius_range) * s
+        rx = rng.uniform(*BLOB_RADIUS_RANGE) * s
+        ry = rng.uniform(*BLOB_RADIUS_RANGE) * s
         cx = rng.uniform(rx + 1, s - rx - 1)
         cy = rng.uniform(ry + 1, s - ry - 1)
         angle = rng.uniform(0, np.pi)
@@ -95,8 +73,7 @@ def _render_image(rng: np.random.Generator, config: SyntheticConfig,
         bbox = (x0, y0, x1, y1)
 
     # specular highlights in both classes (illumination confounder)
-    n_high = int(rng.integers(config.highlight_count_range[0],
-                              config.highlight_count_range[1] + 1))
+    n_high = int(rng.integers(HIGHLIGHT_COUNT_RANGE[0], HIGHLIGHT_COUNT_RANGE[1] + 1))
     for _ in range(n_high):
         hx = rng.uniform(2, s - 2)
         hy = rng.uniform(2, s - 2)
@@ -104,7 +81,7 @@ def _render_image(rng: np.random.Generator, config: SyntheticConfig,
         glow = np.exp(-((xx - hx) ** 2 + (yy - hy) ** 2) / (2 * hr ** 2))
         img = img + 230.0 * glow[..., None]
 
-    img = img + rng.normal(0.0, config.noise_std * 255.0, size=(s, s, 3))
+    img = img + rng.normal(0.0, NOISE_STD * 255.0, size=(s, s, 3))
     pixels = np.clip(np.rint(img), 0, 255).astype(np.uint8)
     return Image(s, s, 3, pixels), bbox
 
@@ -113,7 +90,7 @@ def generate_synthetic(config: SyntheticConfig, out_dir) -> list[Sample]:
     """Write the corpus as PPM files plus a manifest.csv; returns the samples."""
     out = Path(out_dir)
     rng = np.random.default_rng(config.seed)
-    n_abnormal = round(config.count * config.abnormal_fraction)
+    n_abnormal = round(config.count * ABNORMAL_FRACTION)
     labels = [1] * n_abnormal + [0] * (config.count - n_abnormal)
     for name in CLASS_NAMES:
         (out / name).mkdir(parents=True, exist_ok=True)
@@ -156,25 +133,24 @@ def load_dataset(root_dir) -> list[Sample]:
         for f in files:
             rel = f.relative_to(root).as_posix()
             samples.append(Sample(path=str(f), label=label, bbox=boxes.get(rel)))
+    if not samples:
+        raise ValueError(f"dataset root {root} holds no .ppm images")
     samples.sort(key=lambda s: s.path)
     return samples
 
 
-def kfold_split(samples: list[Sample], k: int, seed: int) -> FoldPlan:
-    """Stratified partition: per-class shuffle, then round-robin deal."""
+def kfold_split(labels, k: int, seed: int) -> np.ndarray:
+    """Stratified fold id per sample: per-class shuffle, then round-robin deal."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    by_class: dict[int, list[int]] = {}
-    for i, smp in enumerate(samples):
-        by_class.setdefault(smp.label, []).append(i)
-    smallest = min(len(v) for v in by_class.values())
-    if k > smallest:
-        raise ValueError(f"k={k} exceeds the smallest class count {smallest}")
+    labels = np.asarray(labels)
+    classes, counts = np.unique(labels, return_counts=True)
+    if k > counts.min():
+        raise ValueError(f"k={k} exceeds the smallest class count {counts.min()}")
     rng = np.random.default_rng(seed)
-    assignments = [0] * len(samples)
-    for label in sorted(by_class):
-        idx = np.array(by_class[label])
+    folds = np.empty(len(labels), dtype=int)
+    for label in classes:
+        idx = np.flatnonzero(labels == label)
         rng.shuffle(idx)
-        for pos, i in enumerate(idx):
-            assignments[int(i)] = pos % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+        folds[idx] = np.arange(len(idx)) % k
+    return folds

@@ -3,18 +3,9 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-
-
-@dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # [C, C] ints; rows = truth, columns = prediction
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass
@@ -26,7 +17,10 @@ class FoldMetrics:
     kappa: float
 
     def as_row(self) -> list[float]:
-        return [self.accuracy, self.precision, self.recall, self.f1, self.kappa]
+        return [getattr(self, name) for name in METRIC_NAMES]
+
+
+METRIC_NAMES = tuple(f.name for f in fields(FoldMetrics))  # the report columns, in order
 
 
 @dataclass
@@ -43,17 +37,20 @@ class EvalReport:
         col = self._column(name)
         return float(col.std(ddof=1)) if len(col) > 1 else 0.0
 
+    def summary(self) -> str:
+        """The `mean±std` CSV cells, one per metric in METRIC_NAMES order."""
+        return ",".join(f"{self.mean(n):.6f}±{self.std(n):.6f}" for n in METRIC_NAMES)
+
     def to_csv(self) -> str:
-        lines = ["fold,accuracy,precision,recall,f1,kappa"]
+        lines = ["fold," + ",".join(METRIC_NAMES)]
         for i, f in enumerate(self.folds):
             lines.append(f"{i}," + ",".join(f"{v:.6f}" for v in f.as_row()))
-        names = ("accuracy", "precision", "recall", "f1", "kappa")
-        summary = ",".join(f"{self.mean(n):.6f}±{self.std(n):.6f}" for n in names)
-        lines.append("mean±std," + summary)
+        lines.append("mean±std," + self.summary())
         return "\n".join(lines) + "\n"
 
 
-def confusion(labels, predictions, num_classes: int) -> ConfusionMatrix:
+def confusion(labels, predictions, num_classes: int) -> np.ndarray:
+    """[C, C] int64 counts; rows are the truth, columns the prediction."""
     labels = np.asarray(labels, dtype=int)
     predictions = np.asarray(predictions, dtype=int)
     if labels.shape != predictions.shape:
@@ -64,16 +61,17 @@ def confusion(labels, predictions, num_classes: int) -> ConfusionMatrix:
             raise ValueError(f"{name} out of range [0, {num_classes}): {arr[bad][:5].tolist()}")
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (labels, predictions), 1)
-    return ConfusionMatrix(counts)
+    return counts
 
 
-def metrics(cm: ConfusionMatrix) -> FoldMetrics:
-    """Accuracy, macro precision/recall/F1, and Cohen's kappa.
+def metrics(counts) -> FoldMetrics:
+    """Accuracy, macro precision/recall/F1, and Cohen's kappa of `[C, C]`
+    confusion counts (rows = truth, columns = prediction).
 
     Degenerate 0/0 cells (class never predicted or never present) define
     to 0 with a warning.
     """
-    counts = cm.counts.astype(np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
     total = counts.sum()
     if total == 0:
         raise ValueError("empty confusion matrix")

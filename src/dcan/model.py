@@ -37,8 +37,14 @@ class BackboneConfig:
 
     def __post_init__(self):
         self.blocks = [tuple(b) for b in self.blocks]
+        if not self.blocks:
+            raise ValueError("blocks must not be empty")
+        if self.kernel < 1 or self.input_size < 1:
+            raise ValueError(f"kernel {self.kernel} and input_size {self.input_size} must be >= 1")
         side = self.input_size
-        for _, stride in self.blocks:
+        for channels, stride in self.blocks:
+            if channels < 1 or stride < 1:
+                raise ValueError(f"block {(channels, stride)} needs channels >= 1 and stride >= 1")
             if side % stride != 0:
                 raise ValueError(f"input_size {self.input_size} not divisible by strides {self.blocks}")
             side //= stride
@@ -149,10 +155,7 @@ class DcaModel:
     # parameter blobs in declaration order (u64 count + little-endian f64s)
 
     def config_dict(self) -> dict:
-        return {"backbone": {"input_size": self.backbone.input_size,
-                             "blocks": [list(b) for b in self.backbone.blocks],
-                             "kernel": self.backbone.kernel},
-                "dca": asdict(self.dca),
+        return {"backbone": asdict(self.backbone), "dca": asdict(self.dca),
                 "head": asdict(self.head)}
 
     def save(self, path) -> None:

@@ -166,22 +166,21 @@ def predict_proba(model: DcaModel, x: np.ndarray, batch_size: int = 32,
 def evaluate(model: DcaModel, x: np.ndarray, y: np.ndarray,
              batch_size: int = 32, threads: int = 1) -> FoldMetrics:
     probs = predict_proba(model, x, batch_size, threads)
-    cm = confusion(y, probs.argmax(axis=1), model.head.num_classes)
-    return metrics(cm)
+    return metrics(confusion(y, probs.argmax(axis=1), model.head.num_classes))
 
 
-def run_cross_validation(samples: list[Sample], x: np.ndarray, y: np.ndarray,
-                         config: RunConfig, threads: int = 1) -> tuple[EvalReport, list[DcaModel]]:
-    """Train one model per fold on `x, y`, the preprocessed `samples`; metrics
-    come from the held-out fold only."""
-    plan = kfold_split(samples, config.k_folds, config.seed)
+def run_cross_validation(x: np.ndarray, y: np.ndarray, config: RunConfig,
+                         threads: int = 1) -> tuple[EvalReport, list[DcaModel]]:
+    """Train one model per stratified fold of `x, y`; metrics come from the
+    held-out fold only."""
+    folds = kfold_split(y, config.k_folds, config.seed)
     fold_seqs = np.random.SeedSequence(config.seed).spawn(config.k_folds)
 
     report = EvalReport()
     models = []
     for fold in range(config.k_folds):
-        tr = plan.train_indices(fold)
-        va = plan.fold_indices(fold)
+        tr = np.flatnonzero(folds != fold)
+        va = np.flatnonzero(folds == fold)
         model = train_model(x[tr], y[tr], config, fold_seqs[fold])
         report.folds.append(evaluate(model, x[va], y[va], config.batch_size, threads))
         models.append(model)

@@ -22,7 +22,7 @@ from dcan.cli import main as cli_main
 from dcan.data import SyntheticConfig, generate_synthetic
 from dcan.explain import gradcam_pp
 from dcan.imaging import ClaheConfig, Image, clahe, read_ppm, rgb_to_ycbcr
-from dcan.metrics import ConfusionMatrix, metrics
+from dcan.metrics import metrics
 from dcan.model import BackboneConfig, DcaModel, HeadConfig
 from dcan.optim import AdamWConfig, AdamWState, adamw_step, cross_entropy
 from dcan.train import RunConfig, evaluate, load_arrays, train_model
@@ -46,8 +46,7 @@ SEEDS = (0, 1, 2)
 def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("acceptance_corpus")
     cfg = RunConfig()
-    cfg.synthetic = SyntheticConfig(count=TRAIN_COUNT + TEST_COUNT, size=64,
-                                    abnormal_fraction=0.5, seed=CORPUS_SEED)
+    cfg.synthetic = SyntheticConfig(count=TRAIN_COUNT + TEST_COUNT, size=64, seed=CORPUS_SEED)
     samples = generate_synthetic(cfg.synthetic, root)
     x, y = load_arrays(samples, cfg.clahe, cfg.backbone.input_size)
     perm = np.random.default_rng(CORPUS_SEED).permutation(len(samples))
@@ -212,7 +211,7 @@ def test_oracle_equivalence():
             counts[0, 0] = 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = metrics(ConfusionMatrix(counts)).as_row()
+            got = metrics(counts).as_row()
         metric_err = max(metric_err, max(abs(g - w) for g, w in
                                          zip(got, metrics_oracle(counts))))
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dcan.data import (FoldPlan, Sample, SyntheticConfig, generate_synthetic,
-                       kfold_split, load_dataset)
+from dcan.data import SyntheticConfig, generate_synthetic, kfold_split, load_dataset
 from dcan.imaging import read_ppm
 
 
@@ -23,7 +22,7 @@ def rgb_to_hue(rgb):
 
 class TestGenerator:
     def test_counts_and_manifest(self, tmp_path):
-        cfg = SyntheticConfig(count=10, abnormal_fraction=0.5, seed=1)
+        cfg = SyntheticConfig(count=10, seed=1)
         samples = generate_synthetic(cfg, tmp_path)
         assert len(samples) == 10
         assert sum(s.label for s in samples) == 5
@@ -69,12 +68,6 @@ class TestGenerator:
             else:
                 assert s.bbox is None
 
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            SyntheticConfig(abnormal_fraction=0.0)
-        with pytest.raises(ValueError):
-            SyntheticConfig(blob_radius_range=(0.1, 0.6))
-
 
 class TestLoader:
     def test_loads_generated_corpus(self, tmp_path):
@@ -108,49 +101,70 @@ class TestLoader:
         with pytest.raises(ValueError, match="mystery"):
             load_dataset(tmp_path)
 
+    def test_no_images_rejected(self, tmp_path):
+        (tmp_path / "normal").mkdir()
+        (tmp_path / "abnormal").mkdir()
+        with pytest.raises(ValueError, match=f"{tmp_path} holds no .ppm images"):
+            load_dataset(tmp_path)
+
     def test_missing_root_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope")
 
 
+def round_robin_reference(labels, k, seed):
+    """The fold deal written as a plain loop: each class in label order is
+    shuffled, then its members take folds 0, 1, ..., k-1, 0, ... in turn."""
+    rng = np.random.default_rng(seed)
+    folds = [None] * len(labels)
+    for label in sorted(set(labels)):
+        idx = np.array([i for i, lab in enumerate(labels) if lab == label])
+        rng.shuffle(idx)
+        for pos, i in enumerate(idx):
+            folds[int(i)] = pos % k
+    return folds
+
+
 class TestKfold:
     @staticmethod
-    def fake_samples(n_normal, n_abnormal):
-        return ([Sample(path=f"n{i}", label=0) for i in range(n_normal)]
-                + [Sample(path=f"a{i}", label=1) for i in range(n_abnormal)])
+    def labels(n_normal, n_abnormal):
+        return np.array([0] * n_normal + [1] * n_abnormal)
 
     def test_exact_stratification(self):
-        plan = kfold_split(self.fake_samples(5, 5), k=5, seed=0)
-        labels = [0] * 5 + [1] * 5
+        labels = self.labels(5, 5)
+        folds = kfold_split(labels, k=5, seed=0)
         for fold in range(5):
-            idx = plan.fold_indices(fold)
-            assert len(idx) == 2
-            assert sorted(labels[i] for i in idx) == [0, 1]
+            assert sorted(labels[folds == fold]) == [0, 1]
 
     def test_partition_law(self):
-        samples = self.fake_samples(13, 17)
-        plan = kfold_split(samples, k=4, seed=1)
-        all_idx = sorted(i for f in range(4) for i in plan.fold_indices(f))
-        assert all_idx == list(range(30))
+        folds = kfold_split(self.labels(13, 17), k=4, seed=1)
+        assert folds.shape == (30,)
+        assert set(folds.tolist()) == {0, 1, 2, 3}
 
     def test_large_corpus_counts(self):
-        plan = kfold_split(self.fake_samples(520, 550), k=5, seed=2)
-        labels = [0] * 520 + [1] * 550
+        labels = self.labels(520, 550)
+        folds = kfold_split(labels, k=5, seed=2)
         for fold in range(5):
-            idx = plan.fold_indices(fold)
-            assert sum(labels[i] == 1 for i in idx) == 110
-            assert sum(labels[i] == 0 for i in idx) == 104
+            assert np.sum(labels[folds == fold] == 1) == 110
+            assert np.sum(labels[folds == fold] == 0) == 104
 
     def test_deterministic_in_seed(self):
-        samples = self.fake_samples(10, 10)
-        a = kfold_split(samples, k=5, seed=9).assignments
-        b = kfold_split(samples, k=5, seed=9).assignments
-        assert a == b
+        labels = self.labels(10, 10)
+        np.testing.assert_array_equal(kfold_split(labels, k=5, seed=9),
+                                      kfold_split(labels, k=5, seed=9))
+
+    @pytest.mark.parametrize("labels, k, seed", [
+        ([0] * 13 + [1] * 17, 4, 1),
+        ([1, 0, 2, 1, 0, 2, 2, 1, 0, 0, 1, 2], 3, 7),
+        ([1, 0] * 32, 2, 0),
+    ])
+    def test_matches_round_robin_reference(self, labels, k, seed):
+        assert kfold_split(labels, k, seed).tolist() == round_robin_reference(labels, k, seed)
 
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
-            kfold_split(self.fake_samples(3, 10), k=4, seed=0)
+            kfold_split(self.labels(3, 10), k=4, seed=0)
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
-            kfold_split(self.fake_samples(5, 5), k=1, seed=0)
+            kfold_split(self.labels(5, 5), k=1, seed=0)

@@ -212,7 +212,8 @@ class TestCheckpoint:
         lambda cfg: cfg.update(optimizer={}),
         lambda cfg: cfg["dca"].pop("channels"),
         lambda cfg: cfg["head"].update(bogus=1),
-    ], ids=["missing_section", "unknown_section", "missing_key", "unknown_key"])
+        lambda cfg: cfg["backbone"].update(blocks=[[4, 0], [8, 2]]),
+    ], ids=["missing_section", "unknown_section", "missing_key", "unknown_key", "zero_stride"])
     def test_bad_config_raises_located_error(self, tmp_path, mutate):
         model = small_model()
         cfg = model.config_dict()

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from dcan.attention import DcaConfig
 from dcan.data import SyntheticConfig, generate_synthetic, load_dataset
 from dcan.imaging import ClaheConfig
+from dcan.metrics import metrics
 from dcan.model import BackboneConfig, HeadConfig
 from dcan.autograd import Tensor
 from dcan.train import (RunConfig, _require_finite, load_arrays, predict_proba,
@@ -53,12 +55,27 @@ class TestRunConfig:
         ('{"clahe": {"bins": 256}}',
          "bad entry in 'clahe': ClaheConfig.__init__() got an unexpected keyword argument 'bins'"),
         ('[1, 2]', "config must be a JSON object, got list"),
+        ('{"backbone": {"blocks": [[8, 0]]}}',
+         "bad entry in 'backbone': block (8, 0) needs channels >= 1 and stride >= 1"),
+        ('{"backbone": {"blocks": [[0, 2]]}}',
+         "bad entry in 'backbone': block (0, 2) needs channels >= 1 and stride >= 1"),
+        ('{"backbone": {"blocks": []}}', "bad entry in 'backbone': blocks must not be empty"),
+        ('{"backbone": {"kernel": 0}}',
+         "bad entry in 'backbone': kernel 0 and input_size 64 must be >= 1"),
+        ('{"synthetic": {"noise_std": 0.05}}',
+         "bad entry in 'synthetic': SyntheticConfig.__init__() got an unexpected keyword "
+         "argument 'noise_std'"),
     ])
     def test_malformed_entry_names_path_and_key(self, tmp_path, text, message):
         path = tmp_path / "run.json"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
             RunConfig.from_json(path)
+
+    def test_readme_example_is_accepted(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"### Run configuration.*?```json\n(.*?)```", readme, re.S).group(1)
+        RunConfig.from_dict(json.loads(block))
 
     def test_defaults(self):
         cfg = RunConfig.from_dict({})
@@ -104,8 +121,8 @@ class TestPipeline:
         root, cfg = corpus
         samples = load_dataset(root)
         x, y = load_arrays(samples, cfg.clahe, cfg.backbone.input_size)
-        r1, _ = run_cross_validation(samples, x, y, cfg)
-        r2, _ = run_cross_validation(samples, x, y, cfg)
+        r1, _ = run_cross_validation(x, y, cfg)
+        r2, _ = run_cross_validation(x, y, cfg)
         assert r1.to_csv() == r2.to_csv()
         assert len(r1.folds) == cfg.k_folds
 
@@ -124,6 +141,23 @@ class TestPipeline:
         x[3, 5, 5, 0] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite loss at epoch 0, step "):
             train_model(x, y, cfg, np.random.SeedSequence(0))
+
+
+def test_each_fold_trains_on_the_rest_and_scores_the_held_out_part(monkeypatch):
+    x, y = np.arange(12), np.array([0, 1] * 6)  # sample i is "image" i
+    scored = []
+
+    def fake_evaluate(trained_on, xv, yv, *_):
+        scored.append((trained_on, set(xv.tolist())))
+        return metrics(np.eye(2, dtype=int))
+
+    monkeypatch.setattr("dcan.train.train_model", lambda xt, yt, cfg, seq: set(xt.tolist()))
+    monkeypatch.setattr("dcan.train.evaluate", fake_evaluate)
+    report, _ = run_cross_validation(x, y, tiny_config())
+    assert len(report.folds) == len(scored) == 2
+    assert sorted(i for _, held_out in scored for i in held_out) == list(range(12))
+    for trained_on, held_out in scored:
+        assert trained_on == set(range(12)) - held_out
 
 
 def test_non_finite_gradient_names_the_parameter():
