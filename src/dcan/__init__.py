@@ -1,13 +1,13 @@
 """Dynamic contextual attention classifier with a from-scratch autograd core."""
 
-from .attention import AttentionMaps, DcaConfig, dca_forward
+from .attention import DcaConfig, dca_forward
 from .autograd import Tape, Tensor, backward, grad_check
 from .model import BackboneConfig, DcaModel, HeadConfig
 from .optim import AdamWConfig, AdamWState, adamw_step, cross_entropy, unit_norm_project
 from .train import RunConfig
 
 __all__ = [
-    "AttentionMaps", "DcaConfig", "dca_forward",
+    "DcaConfig", "dca_forward",
     "Tape", "Tensor", "backward", "grad_check",
     "BackboneConfig", "DcaModel", "HeadConfig",
     "AdamWConfig", "AdamWState", "adamw_step", "cross_entropy", "unit_norm_project",

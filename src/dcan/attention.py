@@ -38,25 +38,6 @@ class DcaConfig:
             raise ValueError("at least one attention branch must be enabled")
 
 
-@dataclass
-class AttentionMaps:
-    """Intermediate maps retained for explanation; absent branches are None."""
-    f_s: Tensor | None = None
-    f_g: Tensor | None = None
-    f_c: Tensor | None = None
-    f_a: Tensor | None = None
-    f_r: Tensor | None = None
-    f_dca: Tensor | None = None
-
-    def named(self) -> dict[str, Tensor]:
-        out = {}
-        for name in ("f_s", "f_g", "f_c", "f_a", "f_r"):
-            t = getattr(self, name)
-            if t is not None:
-                out[name] = t
-        return out
-
-
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     """Zero-mean uniform draw bounded by 1/sqrt(fan_in)."""
     bound = 1.0 / np.sqrt(fan_in)
@@ -64,20 +45,21 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 def init_dca_params(config: DcaConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Zero-mean uniform kernels scaled by 1/sqrt(fan_in), zero biases."""
+    """The enabled branches' `dca_*` parameters: zero-mean uniform kernels
+    scaled by 1/sqrt(fan_in), zero biases."""
     d = config.channels
     arrays = {}
     if config.enable_spatial:
         k = config.spatial_kernel
-        arrays["spatial_w"] = uniform_init(rng, (k, k, d, d), k * k * d)
-        arrays["spatial_b"] = np.zeros(d)
+        arrays["dca_spatial_w"] = uniform_init(rng, (k, k, d, d), k * k * d)
+        arrays["dca_spatial_b"] = np.zeros(d)
     if config.enable_gated:
-        arrays["gate_w"] = uniform_init(rng, (1, 1, d, d), d)
-        arrays["gate_b"] = np.zeros(d)
+        arrays["dca_gate_w"] = uniform_init(rng, (1, 1, d, d), d)
+        arrays["dca_gate_b"] = np.zeros(d)
     if config.enable_refine:
         k = config.refine_kernel
-        arrays["refine_w"] = uniform_init(rng, (k, k, d, d), k * k * d)
-        arrays["refine_b"] = np.zeros(d)
+        arrays["dca_refine_w"] = uniform_init(rng, (k, k, d, d), k * k * d)
+        arrays["dca_refine_b"] = np.zeros(d)
     return {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
 
 
@@ -91,44 +73,43 @@ def _check_channels(f: Tensor, config: DcaConfig):
 
 def spatial_branch(f: Tensor, config: DcaConfig, params: dict[str, Tensor]) -> Tensor:
     _check_channels(f, config)
-    z = conv2d(f, params["spatial_w"], params["spatial_b"], stride=1, padding="same")
+    z = conv2d(f, params["dca_spatial_w"], params["dca_spatial_b"], stride=1, padding="same")
     return spatial_softmax(relu(z))
 
 
 def gating_branch(f: Tensor, config: DcaConfig, params: dict[str, Tensor]) -> Tensor:
     _check_channels(f, config)
-    z = conv2d(f, params["gate_w"], params["gate_b"], stride=1, padding="same")
+    z = conv2d(f, params["dca_gate_w"], params["dca_gate_b"], stride=1, padding="same")
     return sigmoid(z)
 
 
 def refine_branch(f: Tensor, config: DcaConfig, params: dict[str, Tensor]) -> Tensor:
     _check_channels(f, config)
-    z = conv2d(f, params["refine_w"], params["refine_b"], stride=1, padding="same")
+    z = conv2d(f, params["dca_refine_w"], params["dca_refine_b"], stride=1, padding="same")
     return sigmoid(z)
 
 
 def dca_forward(f: Tensor, config: DcaConfig,
-                params: dict[str, Tensor]) -> tuple[Tensor, AttentionMaps]:
-    """Apply the attention block; returns attended map plus all intermediates."""
+                params: dict[str, Tensor]) -> tuple[Tensor, dict[str, Tensor]]:
+    """Apply the attention block with the `dca_*` entries of `params`; returns the
+    attended map and a dict of the maps the enabled branches computed."""
     _check_channels(f, config)
-    maps = AttentionMaps()
+    maps = {}
     if config.enable_spatial:
-        maps.f_s = spatial_branch(f, config, params)
+        maps["f_s"] = spatial_branch(f, config, params)
     if config.enable_gated:
-        maps.f_g = gating_branch(f, config, params)
+        maps["f_g"] = gating_branch(f, config, params)
 
-    if maps.f_s is not None and maps.f_g is not None:
-        maps.f_c = elementwise("mul", maps.f_s, maps.f_g)
-    elif maps.f_s is not None:
-        maps.f_c = maps.f_s  # single-branch ablation: combined map is the branch map
-    else:
-        maps.f_c = maps.f_g
+    if config.enable_spatial and config.enable_gated:
+        maps["f_c"] = elementwise("mul", maps["f_s"], maps["f_g"])
+    else:  # single-branch ablation: combined map is the branch map
+        maps["f_c"] = maps["f_s"] if config.enable_spatial else maps["f_g"]
 
     if config.enable_refine:
-        maps.f_a = refine_branch(f, config, params)
-        maps.f_r = elementwise("add", maps.f_c, maps.f_a)
+        maps["f_a"] = refine_branch(f, config, params)
+        maps["f_r"] = elementwise("add", maps["f_c"], maps["f_a"])
     else:
-        maps.f_r = maps.f_c
+        maps["f_r"] = maps["f_c"]
 
-    maps.f_dca = elementwise("mul", maps.f_r, f)
-    return maps.f_dca, maps
+    maps["f_dca"] = elementwise("mul", maps["f_r"], f)
+    return maps["f_dca"], maps

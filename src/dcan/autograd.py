@@ -198,8 +198,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0  # relu'(0) := 0
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * mask)
+        x.accumulate_grad(g * mask)
 
     return _record(out, (x,), bwd)
 
@@ -212,8 +211,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor(s)
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * s * (1.0 - s))
+        x.accumulate_grad(g * s * (1.0 - s))
 
     return _record(out, (x,), bwd)
 
@@ -233,10 +231,9 @@ def spatial_softmax(x: Tensor) -> Tensor:
     out = Tensor(s.reshape(n, h, w, c))
 
     def bwd(g):
-        if x.requires_grad:
-            gf = g.reshape(n, h * w, c)
-            dot = (gf * s).sum(axis=1, keepdims=True)
-            x.accumulate_grad((s * (gf - dot)).reshape(n, h, w, c))
+        gf = g.reshape(n, h * w, c)
+        dot = (gf * s).sum(axis=1, keepdims=True)
+        x.accumulate_grad((s * (gf - dot)).reshape(n, h, w, c))
 
     return _record(out, (x,), bwd)
 
@@ -250,9 +247,8 @@ def softmax_rows(x: Tensor) -> Tensor:
     out = Tensor(s)
 
     def bwd(g):
-        if x.requires_grad:
-            dot = (g * s).sum(axis=1, keepdims=True)
-            x.accumulate_grad(s * (g - dot))
+        dot = (g * s).sum(axis=1, keepdims=True)
+        x.accumulate_grad(s * (g - dot))
 
     return _record(out, (x,), bwd)
 
@@ -290,8 +286,7 @@ def global_average_pool(x: Tensor) -> Tensor:
     out = Tensor(x.data.mean(axis=(1, 2)))
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(g[:, None, None, :] / (h * w), x.shape))
+        x.accumulate_grad(np.broadcast_to(g[:, None, None, :] / (h * w), x.shape))
 
     return _record(out, (x,), bwd)
 
@@ -305,8 +300,7 @@ def dropout(x: Tensor, rate: float, training: bool,
         out = Tensor(x.data)
 
         def bwd(g):
-            if x.requires_grad:
-                x.accumulate_grad(g)
+            x.accumulate_grad(g)
 
         return _record(out, (x,), bwd)
     if rng is None:
@@ -315,8 +309,7 @@ def dropout(x: Tensor, rate: float, training: bool,
     out = Tensor(x.data * mask)
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * mask)
+        x.accumulate_grad(g * mask)
 
     return _record(out, (x,), bwd)
 
@@ -326,8 +319,7 @@ def tsum(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum())
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.full(x.shape, float(g)))
+        x.accumulate_grad(np.full(x.shape, float(g)))
 
     return _record(out, (x,), bwd)
 

@@ -106,8 +106,9 @@ def cmd_explain(config: RunConfig, checkpoint: str, image_path: str) -> None:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     export_heatmap(saliency, base, out / "gradcam.ppm")
-    for name in maps.named():
-        export_heatmap(attention_heatmap(maps, name, size), base, out / f"{name}.ppm")
+    for name in maps:
+        if name != "f_dca":
+            export_heatmap(attention_heatmap(maps, name, size), base, out / f"{name}.ppm")
     print(f"predicted class {target} (p={probs[target]:.4f}); overlays in {out}")
 
 

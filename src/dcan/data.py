@@ -83,7 +83,7 @@ def _render_image(rng: np.random.Generator, config: SyntheticConfig,
 
     img = img + rng.normal(0.0, NOISE_STD * 255.0, size=(s, s, 3))
     pixels = np.clip(np.rint(img), 0, 255).astype(np.uint8)
-    return Image(s, s, 3, pixels), bbox
+    return Image(pixels), bbox
 
 
 def generate_synthetic(config: SyntheticConfig, out_dir) -> list[Sample]:

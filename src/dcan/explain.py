@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import AttentionMaps
 from .autograd import Tape, Tensor, backward, elementwise, softmax, tsum
 from .imaging import Image, bilinear, write_ppm
 from .model import DcaModel
@@ -47,7 +46,7 @@ def gradcam_map(activations: np.ndarray, gradients: np.ndarray) -> np.ndarray:
     return np.maximum((activations * weights).sum(axis=2), 0.0)
 
 
-def gradcam_pp(model: DcaModel, image: Tensor) -> tuple[np.ndarray, AttentionMaps, Heatmap]:
+def gradcam_pp(model: DcaModel, image: Tensor) -> tuple[np.ndarray, dict[str, Tensor], Heatmap]:
     """Explain the predicted class of one image (batch of 1) from one taped forward.
 
     Returns the class probabilities, the attention maps and the saliency
@@ -66,19 +65,19 @@ def gradcam_pp(model: DcaModel, image: Tensor) -> tuple[np.ndarray, AttentionMap
         p.zero_grad()
 
     size = model.backbone.input_size
-    grads = maps.f_dca.grad
+    f_dca = maps["f_dca"]
+    grads = f_dca.grad
     if not np.any(grads):
         return probs, maps, Heatmap(np.zeros((size, size)), flagged=True)
-    raw = gradcam_map(maps.f_dca.data[0], grads[0])
+    raw = gradcam_map(f_dca.data[0], grads[0])
     return probs, maps, Heatmap(_normalize(bilinear(raw, size)), flagged=not np.any(raw > 0))
 
 
-def attention_heatmap(maps: AttentionMaps, name: str, size: int) -> Heatmap:
+def attention_heatmap(maps: dict[str, Tensor], name: str, size: int) -> Heatmap:
     """Channel-mean of one retained attention map, upscaled and normalized."""
-    t = getattr(maps, name)
-    if t is None:
+    if name not in maps:
         raise ValueError(f"attention map {name} absent (branch disabled)")
-    raw = np.maximum(t.data[0].mean(axis=2), 0.0)
+    raw = np.maximum(maps[name].data[0].mean(axis=2), 0.0)
     return Heatmap(_normalize(bilinear(raw, size)))
 
 
@@ -91,11 +90,9 @@ def export_heatmap(heatmap: Heatmap, base_image: Image, out_path) -> None:
     base = Path(out_path)
     stem = base.with_suffix("")
     gray = np.clip(np.rint(heatmap.values * 255.0), 0, 255).astype(np.uint8)
-    Path(f"{stem}.pgm").write_bytes(write_ppm(Image(width, height, 1, gray)))
+    Path(f"{stem}.pgm").write_bytes(write_ppm(Image(gray[..., None])))
 
-    rgb = base_image.pixels if base_image.channels == 3 else np.repeat(base_image.pixels, 3, axis=2)
     alpha = 0.5 * heatmap.values
-    out = rgb.astype(np.float64).copy()
+    out = base_image.rgb().astype(np.float64)
     out[..., 0] = np.floor((1.0 - alpha) * out[..., 0] + alpha * 255.0)
-    Path(f"{stem}.ppm").write_bytes(write_ppm(
-        Image(width, height, 3, np.clip(out, 0, 255).astype(np.uint8))))
+    Path(f"{stem}.ppm").write_bytes(write_ppm(Image(np.clip(out, 0, 255).astype(np.uint8))))

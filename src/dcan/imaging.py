@@ -18,16 +18,23 @@ class ImageFormatError(ValueError):
 
 @dataclass
 class Image:
-    width: int
-    height: int
-    channels: int
-    pixels: np.ndarray  # uint8, shape (height, width, channels)
+    """An 8-bit picture; its width, height and channel count are read off `pixels`."""
+    pixels: np.ndarray  # uint8, shape (height, width, channels), channels 1 or 3
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8).reshape(
-            self.height, self.width, self.channels)
-        if self.channels not in (1, 3):
-            raise ValueError(f"channels must be 1 or 3, got {self.channels}")
+        px = np.asarray(self.pixels)
+        if px.dtype != np.uint8 or px.ndim != 3 or 0 in px.shape or px.shape[2] not in (1, 3):
+            raise ValueError(f"image pixels must be uint8 [H, W, 1|3] with H, W >= 1, "
+                             f"got {px.dtype} {px.shape}")
+        self.pixels = px
+
+    height = property(lambda self: self.pixels.shape[0])
+    width = property(lambda self: self.pixels.shape[1])
+    channels = property(lambda self: self.pixels.shape[2])
+
+    def rgb(self) -> np.ndarray:
+        """The pixels as [H, W, 3]: gray is repeated into each channel."""
+        return self.pixels if self.channels == 3 else np.repeat(self.pixels, 3, axis=2)
 
 
 LUMA_BINS = 256  # one histogram bin per 8-bit luma value
@@ -96,7 +103,7 @@ def read_ppm(data: bytes) -> Image:
         raise ImageFormatError(f"truncated payload at byte {pos + len(payload)}: "
                                f"need {need} bytes, have {len(payload)}")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return Image(width, height, channels, pixels.copy())
+    return Image(pixels.copy())
 
 
 def write_ppm(img: Image) -> bytes:
@@ -134,11 +141,9 @@ def bilinear(values: np.ndarray, target: int) -> np.ndarray:
 def resize_bilinear(img: Image, target: int) -> Image:
     if target < 1:
         raise ValueError("target size must be >= 1")
-    if img.width < 1 or img.height < 1:
-        raise ValueError("cannot resize an empty image")
     out = bilinear(img.pixels, target)  # gathers uint8, blends in float64
     pixels = np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return Image(target, target, img.channels, pixels)
+    return Image(pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -235,4 +240,4 @@ def clahe(img: Image, config: ClaheConfig) -> Image:
         pixels = ycbcr_to_rgb(eq, cb, cr)
     else:
         pixels = eq.astype(np.uint8)[..., None]
-    return Image(img.width, img.height, img.channels, pixels)
+    return Image(pixels)

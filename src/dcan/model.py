@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .attention import AttentionMaps, DcaConfig, dca_forward, init_dca_params, uniform_init
+from .attention import DcaConfig, dca_forward, init_dca_params, uniform_init
 from .autograd import (ShapeError, Tensor, conv2d, dense, dropout, global_average_pool, relu,
                        softmax_rows)
 from .optim import unit_norm_project
@@ -50,13 +50,6 @@ class BackboneConfig:
             side //= stride
 
     @property
-    def feature_side(self) -> int:
-        side = self.input_size
-        for _, stride in self.blocks:
-            side //= stride
-        return side
-
-    @property
     def feature_channels(self) -> int:
         return self.blocks[-1][0]
 
@@ -69,6 +62,8 @@ class HeadConfig:
     unit_norm: bool = True
 
     def __post_init__(self):
+        if self.hidden_units < 1:
+            raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.num_classes < 2:
@@ -95,19 +90,14 @@ class DcaModel:
                                                    requires_grad=True)
             self.params[f"backbone{i}_b"] = Tensor(np.zeros(cout), requires_grad=True)
             cin = cout
-        # the attention block's view of its parameters: the same Tensor objects,
-        # which load, AdamW and gradcheck only ever update through `.data`
-        self.dca_params: dict[str, Tensor] = init_dca_params(dca, rng)
-        for name, p in self.dca_params.items():
-            self.params[f"dca_{name}"] = p
+        self.params.update(init_dca_params(dca, rng))
         d, units = backbone.feature_channels, head.hidden_units
         for name, a in (("head_w1", uniform_init(rng, (d, units), d)),
                         ("head_b1", np.zeros(units)),
                         ("head_w2", uniform_init(rng, (units, head.num_classes), units)),
                         ("head_b2", np.zeros(head.num_classes))):
             self.params[name] = Tensor(a, requires_grad=True)
-        if head.unit_norm:
-            self.project_unit_norm()
+        self.project_unit_norm()
 
     def project_unit_norm(self):
         if self.head.unit_norm:
@@ -144,10 +134,10 @@ class DcaModel:
         return softmax_rows(self.head_logits(f_dca, training, rng))
 
     def forward(self, image: Tensor, training: bool = False,
-                rng: np.random.Generator | None = None) -> tuple[Tensor, AttentionMaps]:
+                rng: np.random.Generator | None = None) -> tuple[Tensor, dict[str, Tensor]]:
         """Class logits [N, num_classes] and the attention block's maps."""
         features = self.backbone_forward(image)
-        f_dca, maps = dca_forward(features, self.dca, self.dca_params)
+        f_dca, maps = dca_forward(features, self.dca, self.params)
         return self.head_logits(f_dca, training, rng), maps
 
     # ------------------------------------------------------------------

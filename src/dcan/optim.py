@@ -42,8 +42,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     out = Tensor(-(y * log_p).sum() / n)
 
     def bwd(g):
-        if logits.requires_grad:
-            logits.accumulate_grad(float(g) * (softmax(logits.data, axis=1) - y) / n)
+        logits.accumulate_grad(float(g) * (softmax(logits.data, axis=1) - y) / n)
 
     return _record(out, (logits,), bwd)
 

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,27 +38,30 @@ class RunConfig:
     data_dir: str = "data"
     output_dir: str = "out"
 
-    _SECTIONS = {"backbone": BackboneConfig, "dca": DcaConfig, "head": HeadConfig,
-                 "adamw": AdamWConfig, "clahe": ClaheConfig, "synthetic": SyntheticConfig}
+    def __post_init__(self):
+        for key, low in (("epochs", 1), ("batch_size", 1), ("k_folds", 2)):
+            if getattr(self, key) < low:
+                raise ValueError(f"'{key}' must be >= {low}, got {getattr(self, key)}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         """Build a config from parsed JSON; a malformed entry raises a ValueError naming it."""
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
-        unknown = set(raw) - {f.name for f in fields(cls)}
+        hints = get_type_hints(cls)
+        unknown = set(raw) - set(hints)
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
+        _check_types(cls, raw)
         kwargs = {}
         for key, value in raw.items():
-            section = cls._SECTIONS.get(key)
-            expected = dict if section is not None else type(getattr(cls, key))
-            if not isinstance(value, expected):
-                raise ValueError(f"'{key}' must be {expected.__name__}, got {type(value).__name__}")
             try:
-                kwargs[key] = section(**value) if section is not None else value
+                if is_dataclass(hints[key]):  # a section
+                    _check_types(hints[key], value)
+                    value = hints[key](**value)
             except (TypeError, ValueError) as exc:  # an unknown or invalid field
                 raise ValueError(f"bad entry in '{key}': {exc}") from None
+            kwargs[key] = value
         return cls(**kwargs)
 
     @classmethod
@@ -74,6 +78,30 @@ class RunConfig:
         return asdict(self)
 
 
+def _conforms(value, hint) -> bool:
+    """Whether a parsed JSON value has the annotated type. An int passes for a
+    float, a bool only for a bool, and a list for a list or a tuple."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is list:
+        return isinstance(value, (list, tuple)) and all(_conforms(v, args[0]) for v in value)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_conforms, value, args)))
+    return type(value) is hint or (hint is float and type(value) is int)
+
+
+def _check_types(cls, raw: dict) -> None:
+    """Raise a ValueError naming the first known entry of `raw` whose value does
+    not have its annotated type in dataclass `cls`; a section must be a dict."""
+    hints = get_type_hints(cls)
+    for key, value in raw.items():
+        hint = dict if is_dataclass(hints.get(key)) else hints.get(key)
+        if hint is not None and not _conforms(value, hint):
+            plain = get_origin(hint) is None
+            raise ValueError(f"'{key}' must be {hint.__name__ if plain else hint}, "
+                             f"got {type(value).__name__ if plain else repr(value)}")
+
+
 # ---------------------------------------------------------------------------
 # preprocessing
 
@@ -83,8 +111,7 @@ def preprocess_sample(path, clahe_cfg: ClaheConfig, input_size: int) -> np.ndarr
     img = read_ppm(Path(path).read_bytes())
     img = clahe(img, clahe_cfg)
     img = resize_bilinear(img, input_size)
-    pixels = img.pixels if img.channels == 3 else np.repeat(img.pixels, 3, axis=2)
-    return pixels / 255.0
+    return img.rgb() / 255.0
 
 
 def load_arrays(samples: list[Sample], clahe_cfg: ClaheConfig, input_size: int,

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from dcan.attention import (AttentionMaps, DcaConfig, dca_forward,
-                            gating_branch, init_dca_params, refine_branch,
-                            spatial_branch)
+from dcan.attention import (DcaConfig, dca_forward, gating_branch, init_dca_params,
+                            refine_branch, spatial_branch)
 from dcan.autograd import ShapeError, Tensor, grad_check, tsum
+from dcan.cli import ABLATION_ROWS
 
 
 def make_params(config, seed=0):
@@ -45,7 +45,7 @@ class TestSpatialBranch:
         # 1x1 identity conv passes logits through; relu keeps them (all >= 0)
         config = DcaConfig(channels=1, spatial_kernel=1)
         params = zero_params(config)
-        params["spatial_w"].data = np.ones((1, 1, 1, 1))
+        params["dca_spatial_w"].data = np.ones((1, 1, 1, 1))
         f = Tensor(np.array([0.0, 0.0, 0.0, np.log(3.0)]).reshape(1, 2, 2, 1))
         out = spatial_branch(f, config, params)
         np.testing.assert_allclose(out.data.ravel(), [1 / 6, 1 / 6, 1 / 6, 1 / 2],
@@ -74,7 +74,7 @@ class TestGatingBranch:
     def test_bias_saturation(self):
         config = DcaConfig(channels=1)
         params = zero_params(config)
-        params["gate_b"].data = np.array([10.0])
+        params["dca_gate_b"].data = np.array([10.0])
         out = gating_branch(Tensor(np.zeros((1, 2, 2, 1))), config, params)
         assert np.all(out.data > 0.9999)
 
@@ -84,8 +84,8 @@ class TestGatingBranch:
         rng = np.random.default_rng(5)
         f = rng.standard_normal((1, 4, 4, 2))
         out = gating_branch(Tensor(f), config, params).data
-        w = params["gate_w"].data[0, 0]
-        b = params["gate_b"].data
+        w = params["dca_gate_w"].data[0, 0]
+        b = params["dca_gate_b"].data
         logits = f @ w + b  # 1x1 conv is a per-pixel matmul
         np.testing.assert_allclose(out, 1 / (1 + np.exp(-logits)), atol=1e-12)
 
@@ -100,7 +100,7 @@ class TestRefineBranch:
     def test_negative_bias_saturation(self):
         config = DcaConfig(channels=1)
         params = zero_params(config)
-        params["refine_b"].data = np.array([-10.0])
+        params["dca_refine_b"].data = np.array([-10.0])
         out = refine_branch(Tensor(np.zeros((1, 2, 2, 1))), config, params)
         assert np.all(out.data < 1e-4)
 
@@ -122,19 +122,19 @@ class TestDcaForward:
         params = make_params(config, seed=9)
         f = Tensor(np.random.default_rng(10).standard_normal((1, 4, 4, 2)))
         f_dca, maps = dca_forward(f, config, params)
-        assert maps.f_g is None and maps.f_a is None
-        np.testing.assert_array_equal(f_dca.data, maps.f_s.data * f.data)
+        assert "f_g" not in maps and "f_a" not in maps
+        np.testing.assert_array_equal(f_dca.data, maps["f_s"].data * f.data)
 
     def test_composed_constants(self):
         config = DcaConfig(channels=1)
         params = zero_params(config)
         f = Tensor(np.ones((1, 2, 2, 1)))
         f_dca, maps = dca_forward(f, config, params)
-        np.testing.assert_allclose(maps.f_s.data, 0.25)
-        np.testing.assert_allclose(maps.f_g.data, 0.5)
-        np.testing.assert_allclose(maps.f_c.data, 0.125)
-        np.testing.assert_allclose(maps.f_a.data, 0.5)
-        np.testing.assert_allclose(maps.f_r.data, 0.625)
+        np.testing.assert_allclose(maps["f_s"].data, 0.25)
+        np.testing.assert_allclose(maps["f_g"].data, 0.5)
+        np.testing.assert_allclose(maps["f_c"].data, 0.125)
+        np.testing.assert_allclose(maps["f_a"].data, 0.5)
+        np.testing.assert_allclose(maps["f_r"].data, 0.625)
         np.testing.assert_allclose(f_dca.data, 0.625)
 
     def test_refined_map_range(self):
@@ -144,14 +144,14 @@ class TestDcaForward:
         for _ in range(20):
             f = Tensor(rng.standard_normal((4, 4, 4, 3)) * 3)
             _, maps = dca_forward(f, config, params)
-            assert np.all(maps.f_r.data > 0.0) and np.all(maps.f_r.data < 2.0)
+            assert np.all(maps["f_r"].data > 0.0) and np.all(maps["f_r"].data < 2.0)
 
     def test_product_identity_zero_ulps(self):
         config = DcaConfig(channels=2)
         params = make_params(config, seed=13)
         f = Tensor(np.random.default_rng(14).standard_normal((2, 4, 4, 2)))
         f_dca, maps = dca_forward(f, config, params)
-        np.testing.assert_array_equal(f_dca.data, maps.f_r.data * f.data)
+        np.testing.assert_array_equal(f_dca.data, maps["f_r"].data * f.data)
 
     def test_toggle_bitwise_independence(self):
         # disabling a branch makes the output independent of its parameters
@@ -160,7 +160,7 @@ class TestDcaForward:
         params = make_params(full, seed=15)
         f = Tensor(np.random.default_rng(16).standard_normal((1, 4, 4, 2)))
         out1, _ = dca_forward(f, ablated, params)
-        params["refine_w"].data = params["refine_w"].data + 100.0
+        params["dca_refine_w"].data = params["dca_refine_w"].data + 100.0
         out2, _ = dca_forward(f, ablated, params)
         np.testing.assert_array_equal(out1.data, out2.data)
 
@@ -172,7 +172,7 @@ class TestDcaForward:
         f2[0, 1, 2, 0] += 1.0
         _, m1 = dca_forward(Tensor(f1), config, params)
         _, m2 = dca_forward(Tensor(f2), config, params)
-        assert not np.array_equal(m1.f_s.data, m2.f_s.data)
+        assert not np.array_equal(m1["f_s"].data, m2["f_s"].data)
 
     def test_end_to_end_grad_check(self):
         config = DcaConfig(channels=4)
@@ -187,7 +187,18 @@ class TestDcaForward:
         assert report["passed"], report
 
     def test_named_maps(self):
-        config = DcaConfig(channels=1, enable_gated=False, enable_refine=False)
+        # exactly the maps the enabled branches computed, for every ablation row
+        # (the last is the full block); a single branch's map is also f_c
+        expected = {(True, False, False): ["f_s", "f_c", "f_r", "f_dca"],
+                    (False, True, False): ["f_g", "f_c", "f_r", "f_dca"],
+                    (True, True, True): ["f_s", "f_g", "f_c", "f_a", "f_r", "f_dca"]}
+        assert list(expected) == ABLATION_ROWS
         f = Tensor(np.ones((1, 2, 2, 1)))
-        _, maps = dca_forward(f, config, zero_params(config))
-        assert set(maps.named()) == {"f_s", "f_c", "f_r"}
+        for (spatial, gated, refine), names in expected.items():
+            config = DcaConfig(channels=1, enable_spatial=spatial, enable_gated=gated,
+                               enable_refine=refine)
+            f_dca, maps = dca_forward(f, config, zero_params(config))
+            assert list(maps) == names
+            assert maps["f_dca"] is f_dca
+            if not (spatial and gated):
+                assert maps["f_c"] is maps["f_s" if spatial else "f_g"]

@@ -67,7 +67,7 @@ class TestGradcamModel:
         logits, plain = model.forward(x)
         np.testing.assert_array_equal(probs, softmax(logits.data, axis=1)[0])
         for name in ("f_s", "f_g", "f_c", "f_a", "f_r", "f_dca"):
-            np.testing.assert_array_equal(getattr(maps, name).data, getattr(plain, name).data)
+            np.testing.assert_array_equal(maps[name].data, plain[name].data)
 
     def test_matches_a_second_pass_on_the_predicted_class(self):
         # reference: a second taped pass through the model's stages, scored on
@@ -78,7 +78,7 @@ class TestGradcamModel:
         logits, _ = model.forward(x)
         onehot = np.eye(2)[[int(logits.data[0].argmax())]]
         with Tape() as tape:
-            f_dca, _ = dca_forward(model.backbone_forward(x), model.dca, model.dca_params)
+            f_dca, _ = dca_forward(model.backbone_forward(x), model.dca, model.params)
             score = tsum(elementwise("mul", model.head_logits(f_dca), Tensor(onehot)))
         backward(score, tape)
         up = bilinear(gradcam_map(f_dca.data[0], f_dca.grad[0]), 16)
@@ -99,15 +99,15 @@ class TestBatchInvariance:
         _, maps_alone = model.forward(Tensor(img[None]))
         _, maps_batch = model.forward(Tensor(np.concatenate([others[:2], img[None], others[2:]])))
         for name in ("f_s", "f_g", "f_a", "f_r", "f_dca"):
-            alone = getattr(maps_alone, name).data[0]
-            batched = getattr(maps_batch, name).data[2]
+            alone = maps_alone[name].data[0]
+            batched = maps_batch[name].data[2]
             np.testing.assert_array_equal(alone, batched)
 
 
 class TestHeatmapExport:
     @staticmethod
     def base_image(rng, size=8):
-        return Image(size, size, 3, rng.integers(0, 256, (size, size, 3), dtype=np.uint8))
+        return Image(rng.integers(0, 256, (size, size, 3), dtype=np.uint8))
 
     def test_zero_map_overlay_equals_base(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -141,7 +141,7 @@ class TestHeatmapExport:
         with pytest.raises(ValueError):
             export_heatmap(Heatmap(np.zeros((4, 4))),
                            self.base_image(rng, 8), tmp_path / "x.ppm")
-        wide = Image(8, 6, 3, rng.integers(0, 256, (6, 8, 3), dtype=np.uint8))
+        wide = Image(rng.integers(0, 256, (6, 8, 3), dtype=np.uint8))
         export_heatmap(Heatmap(np.zeros((6, 8))), wide, tmp_path / "wide.ppm")
         with pytest.raises(ValueError, match="heatmap 6x8 does not match base image 8x6"):
             export_heatmap(Heatmap(np.zeros((8, 6))), wide, tmp_path / "x.ppm")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,32 @@ from dcan.imaging import (LUMA_BINS, ClaheConfig, Image, ImageFormatError, clahe
 
 
 def random_image(rng, w, h, channels=3):
-    return Image(w, h, channels, rng.integers(0, 256, size=(h, w, channels), dtype=np.uint8))
+    return Image(rng.integers(0, 256, size=(h, w, channels), dtype=np.uint8))
+
+
+class TestImage:
+    def test_dims_are_the_pixel_shape(self):
+        img = Image(np.zeros((2, 5, 1), dtype=np.uint8))
+        assert (img.height, img.width, img.channels) == img.pixels.shape == (2, 5, 1)
+        with pytest.raises(AttributeError):
+            img.width = 3
+
+    @pytest.mark.parametrize("pixels, shown", [
+        (np.zeros((2, 2, 3)), "float64 (2, 2, 3)"),
+        (np.zeros((2, 2), dtype=np.uint8), "uint8 (2, 2)"),
+        (np.zeros((2, 2, 4), dtype=np.uint8), "uint8 (2, 2, 4)"),
+        (np.full((2, 2, 1), 300), "int64 (2, 2, 1)"),
+        (np.zeros((0, 2, 3), dtype=np.uint8), "uint8 (0, 2, 3)"),
+    ])
+    def test_malformed_pixels_rejected(self, pixels, shown):
+        with pytest.raises(ValueError, match=re.escape(f"got {shown}")):
+            Image(pixels)
+
+    def test_rgb_repeats_gray(self):
+        gray = Image(np.arange(6, dtype=np.uint8).reshape(2, 3, 1))
+        np.testing.assert_array_equal(gray.rgb(), np.repeat(gray.pixels, 3, axis=2))
+        color = random_image(np.random.default_rng(0), 3, 2)
+        assert color.rgb() is color.pixels
 
 
 class TestPpmIo:
@@ -58,12 +85,12 @@ class TestResize:
         assert np.max(np.abs(out.pixels.astype(int) - img.pixels.astype(int))) <= 1
 
     def test_constant_exact(self):
-        img = Image(3, 3, 3, np.full((3, 3, 3), 77, dtype=np.uint8))
+        img = Image(np.full((3, 3, 3), 77, dtype=np.uint8))
         out = resize_bilinear(img, 9)
         np.testing.assert_array_equal(out.pixels, 77)
 
     def test_checkerboard_matches_interpolation_oracle(self):
-        board = Image(2, 2, 1, np.array([[0, 255], [255, 0]], dtype=np.uint8)[..., None])
+        board = Image(np.array([[0, 255], [255, 0]], dtype=np.uint8)[..., None])
         out = resize_bilinear(board, 4)
         src = board.pixels[..., 0].astype(float)
         expected = np.zeros((4, 4))
@@ -98,14 +125,14 @@ def global_he_oracle(luma):
 class TestClahe:
     def test_constant_invariance(self):
         for value in (0, 64, 128, 200, 255):
-            img = Image(64, 64, 3, np.full((64, 64, 3), value, dtype=np.uint8))
+            img = Image(np.full((64, 64, 3), value, dtype=np.uint8))
             out = clahe(img, ClaheConfig())
             diff = np.abs(out.pixels.astype(int) - value)
             assert diff.max() <= 1, f"value {value}: max diff {diff.max()}"
 
     def test_global_he_limit(self):
         rng = np.random.default_rng(4)
-        gray = Image(32, 32, 1, rng.integers(0, 256, (32, 32, 1), dtype=np.uint8))
+        gray = Image(rng.integers(0, 256, (32, 32, 1), dtype=np.uint8))
         out = clahe(gray, ClaheConfig(tiles=1, clip_limit=1e12))
         expected = global_he_oracle(gray.pixels[..., 0])
         assert np.max(np.abs(out.pixels[..., 0].astype(int) - expected.astype(int))) <= 1
@@ -115,7 +142,7 @@ class TestClahe:
         left = rng.normal(60, 4, (128, 64))
         right = rng.normal(180, 4, (128, 64))
         luma = np.clip(np.concatenate([left, right], axis=1), 0, 255).astype(np.uint8)
-        img = Image(128, 128, 1, luma[..., None])
+        img = Image(luma[..., None])
         out = clahe(img, ClaheConfig(tiles=2, clip_limit=4.0))
         for sl in (np.s_[:, :64], np.s_[:, 64:]):
             assert out.pixels[..., 0][sl].std() > luma[sl].std()
@@ -143,7 +170,7 @@ class TestClahe:
         assert out.pixels.shape == img.pixels.shape
 
     def test_tiles_larger_than_image_rejected(self):
-        img = Image(4, 4, 1, np.zeros((4, 4, 1), dtype=np.uint8))
+        img = Image(np.zeros((4, 4, 1), dtype=np.uint8))
         with pytest.raises(ValueError):
             clahe(img, ClaheConfig(tiles=8))
 
@@ -154,7 +181,7 @@ class TestClahe:
         pixels[..., 0] = rng.integers(80, 220, (32, 32))
         pixels[..., 1] = (pixels[..., 0] * 0.6).astype(np.uint8)
         pixels[..., 2] = (pixels[..., 0] * 0.6).astype(np.uint8)
-        img = Image(32, 32, 3, pixels)
+        img = Image(pixels)
         out = clahe(img, ClaheConfig(tiles=2))
         _, cb_in, cr_in = rgb_to_ycbcr(img.pixels)
         _, cb_out, cr_out = rgb_to_ycbcr(out.pixels)
@@ -216,7 +243,7 @@ def test_clahe_bitwise_matches_loop_reference():
                                         (h, w, channels)), 0, 255).astype(np.uint8)
         else:
             pixels = rng.integers(0, 256, size=(h, w, channels), dtype=np.uint8)
-        img = Image(w, h, channels, pixels)
+        img = Image(pixels)
         config = ClaheConfig(tiles=int(rng.integers(1, 9)),
                              clip_limit=float(rng.choice([1.0, 2.0, rng.uniform(1, 6)])))
         assert np.array_equal(clahe(img, config).pixels, clahe_loop_reference(img, config)), \

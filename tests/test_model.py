@@ -22,7 +22,6 @@ def small_model(seed=0, dropout_rate=0.0, unit_norm=True):
 class TestConfigs:
     def test_default_feature_shape(self):
         cfg = BackboneConfig()
-        assert cfg.feature_side == 8
         assert cfg.feature_channels == 32
 
     def test_indivisible_strides_rejected(self):
@@ -105,7 +104,18 @@ class TestModelForward:
         logits, maps = model.forward(Tensor(np.random.default_rng(9).random((2, 16, 16, 3))))
         assert logits.shape == (2, 2)
         np.testing.assert_allclose(softmax(logits.data, axis=1).sum(axis=1), 1.0, atol=1e-12)
-        assert maps.f_dca.shape == (2, 4, 4, 8)
+        assert maps["f_dca"].shape == (2, 4, 4, 8)
+
+    def test_attention_reads_the_model_params(self):
+        # one parameter dict: the attention block sees a changed or replaced entry
+        model = small_model(seed=12)
+        x = Tensor(np.random.default_rng(13).random((1, 16, 16, 3)))
+        before = model.forward(x)[0].data
+        model.params["dca_refine_w"].data = model.params["dca_refine_w"].data + 1.0
+        perturbed = model.forward(x)[0].data
+        assert not np.array_equal(before, perturbed)
+        model.params["dca_refine_w"] = Tensor(np.zeros_like(model.params["dca_refine_w"].data))
+        assert not np.array_equal(perturbed, model.forward(x)[0].data)
 
     def test_duplicate_image_identical_rows(self):
         model = small_model(seed=10)

@@ -51,7 +51,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("text, message", [
         ('{"clahe": 5}', "'clahe' must be dict, got int"),
         ('{"epochs": "3"}', "'epochs' must be int, got str"),
-        ('{"clahe": {"tiles": "8"}}', "bad entry in 'clahe': '<' not supported"),
+        ('{"clahe": {"tiles": "8"}}', "bad entry in 'clahe': 'tiles' must be int, got str"),
         ('{"clahe": {"bins": 256}}',
          "bad entry in 'clahe': ClaheConfig.__init__() got an unexpected keyword argument 'bins'"),
         ('[1, 2]', "config must be a JSON object, got list"),
@@ -65,12 +65,27 @@ class TestRunConfig:
         ('{"synthetic": {"noise_std": 0.05}}',
          "bad entry in 'synthetic': SyntheticConfig.__init__() got an unexpected keyword "
          "argument 'noise_std'"),
+        ('{"backbone": {"blocks": [[8, 2.0], [16, 2], [32, 2]]}}',
+         "bad entry in 'backbone': 'blocks' must be list[tuple[int, int]], "
+         "got [[8, 2.0], [16, 2], [32, 2]]"),
+        ('{"backbone": {"kernel": 3.0}}', "bad entry in 'backbone': 'kernel' must be int, got float"),
+        ('{"dca": {"channels": 32.0}}', "bad entry in 'dca': 'channels' must be int, got float"),
+        ('{"clahe": {"tiles": 2.5}}', "bad entry in 'clahe': 'tiles' must be int, got float"),
+        ('{"epochs": true}', "'epochs' must be int, got bool"),
+        ('{"batch_size": 0}', "'batch_size' must be >= 1, got 0"),
+        ('{"head": {"hidden_units": 0}}', "bad entry in 'head': hidden_units must be >= 1, got 0"),
+        ('{"k_folds": 1}', "'k_folds' must be >= 2, got 1"),
+        ('{"epochs": -1}', "'epochs' must be >= 1, got -1"),
     ])
     def test_malformed_entry_names_path_and_key(self, tmp_path, text, message):
         path = tmp_path / "run.json"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
             RunConfig.from_json(path)
+
+    def test_int_accepted_where_float_expected(self):
+        cfg = RunConfig.from_dict({"clahe": {"clip_limit": 2}, "adamw": {"weight_decay": 0}})
+        assert cfg.clahe.clip_limit == 2 and cfg.adamw.weight_decay == 0
 
     def test_readme_example_is_accepted(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
