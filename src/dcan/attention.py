@@ -6,7 +6,8 @@ Three branches over a feature map F [N,H,W,D]:
   refine   - conv(k) -> sigmoid, added to the combined map
 Combined as F_c = F_s * F_g, F_r = F_c + F_a, F_dca = F_r * F. Each branch
 can be toggled for ablation; a disabled branch contributes nothing and its
-parameters are never touched.
+parameters are never touched. The block keeps the width D of its input, so D
+is not configured: the model sizes the parameters by its backbone's output.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import (ShapeError, Tensor, conv2d, elementwise, relu, sigmoid,
-                       spatial_softmax)
+from .autograd import Tensor, conv2d, elementwise, relu, sigmoid, spatial_softmax
 
 
 @dataclass
 class DcaConfig:
-    channels: int
     spatial_kernel: int = 3
     refine_kernel: int = 3
     enable_spatial: bool = True
@@ -44,10 +43,9 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_dca_params(config: DcaConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """The enabled branches' `dca_*` parameters: zero-mean uniform kernels
-    scaled by 1/sqrt(fan_in), zero biases."""
-    d = config.channels
+def init_dca_params(config: DcaConfig, d: int, rng: np.random.Generator) -> dict[str, Tensor]:
+    """The enabled branches' `dca_*` parameters for a `d`-channel feature map:
+    zero-mean uniform kernels scaled by 1/sqrt(fan_in), zero biases."""
     arrays = {}
     if config.enable_spatial:
         k = config.spatial_kernel
@@ -63,42 +61,27 @@ def init_dca_params(config: DcaConfig, rng: np.random.Generator) -> dict[str, Te
     return {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
 
 
-def _check_channels(f: Tensor, config: DcaConfig):
-    if f.data.ndim != 4:
-        raise ShapeError(f"attention input must be rank 4, got rank {f.data.ndim}")
-    if f.shape[3] != config.channels:
-        raise ShapeError(f"attention channel axis mismatch: input has {f.shape[3]}, "
-                         f"config expects {config.channels}")
+def spatial_branch(f: Tensor, params: dict[str, Tensor]) -> Tensor:
+    return spatial_softmax(relu(conv2d(f, params["dca_spatial_w"], params["dca_spatial_b"])))
 
 
-def spatial_branch(f: Tensor, config: DcaConfig, params: dict[str, Tensor]) -> Tensor:
-    _check_channels(f, config)
-    z = conv2d(f, params["dca_spatial_w"], params["dca_spatial_b"], stride=1, padding="same")
-    return spatial_softmax(relu(z))
+def gating_branch(f: Tensor, params: dict[str, Tensor]) -> Tensor:
+    return sigmoid(conv2d(f, params["dca_gate_w"], params["dca_gate_b"]))
 
 
-def gating_branch(f: Tensor, config: DcaConfig, params: dict[str, Tensor]) -> Tensor:
-    _check_channels(f, config)
-    z = conv2d(f, params["dca_gate_w"], params["dca_gate_b"], stride=1, padding="same")
-    return sigmoid(z)
-
-
-def refine_branch(f: Tensor, config: DcaConfig, params: dict[str, Tensor]) -> Tensor:
-    _check_channels(f, config)
-    z = conv2d(f, params["dca_refine_w"], params["dca_refine_b"], stride=1, padding="same")
-    return sigmoid(z)
+def refine_branch(f: Tensor, params: dict[str, Tensor]) -> Tensor:
+    return sigmoid(conv2d(f, params["dca_refine_w"], params["dca_refine_b"]))
 
 
 def dca_forward(f: Tensor, config: DcaConfig,
                 params: dict[str, Tensor]) -> tuple[Tensor, dict[str, Tensor]]:
     """Apply the attention block with the `dca_*` entries of `params`; returns the
     attended map and a dict of the maps the enabled branches computed."""
-    _check_channels(f, config)
     maps = {}
     if config.enable_spatial:
-        maps["f_s"] = spatial_branch(f, config, params)
+        maps["f_s"] = spatial_branch(f, params)
     if config.enable_gated:
-        maps["f_g"] = gating_branch(f, config, params)
+        maps["f_g"] = gating_branch(f, params)
 
     if config.enable_spatial and config.enable_gated:
         maps["f_c"] = elementwise("mul", maps["f_s"], maps["f_g"])
@@ -106,7 +89,7 @@ def dca_forward(f: Tensor, config: DcaConfig,
         maps["f_c"] = maps["f_s"] if config.enable_spatial else maps["f_g"]
 
     if config.enable_refine:
-        maps["f_a"] = refine_branch(f, config, params)
+        maps["f_a"] = refine_branch(f, params)
         maps["f_r"] = elementwise("add", maps["f_c"], maps["f_a"])
     else:
         maps["f_r"] = maps["f_c"]

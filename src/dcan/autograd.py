@@ -51,13 +51,12 @@ class Tensor:
 
 
 class _Node:
-    """One recorded op: output tensor, input tensors, backward rule."""
+    """One recorded op: output tensor and backward rule."""
 
-    __slots__ = ("output", "inputs", "backward_fn")
+    __slots__ = ("output", "backward_fn")
 
-    def __init__(self, output, inputs, backward_fn):
+    def __init__(self, output, backward_fn):
         self.output = output
-        self.inputs = inputs
         self.backward_fn = backward_fn
 
 
@@ -85,7 +84,7 @@ _TAPE_STACK: list[Tape] = []
 def _record(output: Tensor, inputs, backward_fn):
     if _TAPE_STACK and any(t.requires_grad for t in inputs):
         output.requires_grad = True
-        _TAPE_STACK[-1].nodes.append(_Node(output, inputs, backward_fn))
+        _TAPE_STACK[-1].nodes.append(_Node(output, backward_fn))
     return output
 
 
@@ -115,9 +114,9 @@ def _same_pad(extent: int, k: int, stride: int):
     return out, lo, total - lo  # extra pixel goes to the bottom/right
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
-           padding: str = "same") -> Tensor:
-    """2-D convolution (cross-correlation), NHWC input, [k,k,Cin,Cout] kernel."""
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+    """2-D convolution (cross-correlation), NHWC input, [k,k,Cin,Cout] kernel,
+    "same" zero padding: the output is ceil(H/stride) x ceil(W/stride)."""
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be rank 4, got rank {x.data.ndim}")
     if kernel.data.ndim != 4:
@@ -130,20 +129,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         raise ShapeError(f"conv2d bias axis mismatch: expected ({cout},), got {bias.shape}")
     if kh < 1 or stride < 1:
         raise ValueError("conv2d requires kernel size >= 1 and stride >= 1")
-    if padding == "same":
-        ho, pt, pb = _same_pad(h, kh, stride)
-        wo, pl, pr = _same_pad(w, kw, stride)
-        xp = np.zeros((n, h + pt + pb, w + pl + pr, cin))
-        xp[:, pt:pt + h, pl:pl + w, :] = x.data
-    elif padding == "valid":
-        ho = (h - kh) // stride + 1
-        wo = (w - kw) // stride + 1
-        if ho < 1 or wo < 1:
-            raise ShapeError(f"conv2d valid padding: kernel {kh}x{kw} exceeds input {h}x{w}")
-        pt = pl = 0
-        xp = x.data
-    else:
-        raise ValueError(f"unknown padding {padding!r}")
+    ho, pt, pb = _same_pad(h, kh, stride)
+    wo, pl, pr = _same_pad(w, kw, stride)
+    xp = np.zeros((n, h + pt + pb, w + pl + pr, cin))
+    xp[:, pt:pt + h, pl:pl + w, :] = x.data
 
     # im2col: one copy of the [n, ho, wo, kh, kw, cin] window view of xp (the
     # ho/wo arithmetic above keeps every window inside it), then one matmul
@@ -336,7 +325,6 @@ def grad_check(model_fn, params: dict[str, Tensor], h: float = 1e-5,
     Tensor when run under the tape it is handed. Returns a report mapping
     parameter name -> max relative error, plus an overall pass flag.
     """
-    base = None
     with Tape() as tape:
         loss = model_fn()
         base = float(loss.data)

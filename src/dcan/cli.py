@@ -116,7 +116,7 @@ def cmd_gradcheck(config: RunConfig) -> None:
     """Full-model finite-difference suite on a reduced desk-scale model."""
     backbone = BackboneConfig(input_size=16, blocks=[(4, 2), (8, 2)],
                               kernel=config.backbone.kernel)
-    dca = DcaConfig(channels=8, spatial_kernel=config.dca.spatial_kernel,
+    dca = DcaConfig(spatial_kernel=config.dca.spatial_kernel,
                     refine_kernel=config.dca.refine_kernel)
     head = HeadConfig(hidden_units=8, dropout_rate=0.0,
                       num_classes=config.head.num_classes, unit_norm=config.head.unit_norm)

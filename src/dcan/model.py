@@ -7,9 +7,11 @@ optional unit-norm constraint on the dense weight columns.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -27,6 +29,49 @@ class CheckpointError(ValueError):
 
     def __init__(self, path, offset: int, reason: str):
         super().__init__(f"{path}: byte {offset}: {reason}")
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    """The resolved field annotations of dataclass `cls`, resolved once."""
+    return get_type_hints(cls)
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a parsed JSON value has the annotated type. An int passes for a
+    float, a bool only for a bool, and a list for a list or a tuple."""
+    if type(value) is hint or (hint is float and type(value) is int):
+        return True
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is list:
+        return isinstance(value, (list, tuple)) and all(_conforms(v, args[0]) for v in value)
+    return (origin is tuple and isinstance(value, (list, tuple)) and len(value) == len(args)
+            and all(map(_conforms, value, args)))
+
+
+def parse_config(cls, raw):
+    """Build dataclass `cls` from a parsed JSON object. Each known entry must
+    have its annotated type; an entry annotated with a dataclass must be an
+    object and is built the same way, its errors prefixed with "bad entry in
+    '<key>': ". Raises ValueError naming the first bad entry; an unknown or
+    missing field is the TypeError of `cls(**kwargs)`."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+    hints = _hints(cls)
+    kwargs = dict(raw)
+    for key, value in raw.items():
+        section = is_dataclass(hints.get(key))
+        hint = dict if section else hints.get(key)
+        if hint is not None and not _conforms(value, hint):
+            plain = get_origin(hint) is None
+            raise ValueError(f"'{key}' must be {hint.__name__ if plain else hint}, "
+                             f"got {type(value).__name__ if plain else repr(value)}")
+        if section:
+            try:
+                kwargs[key] = parse_config(hints[key], value)
+            except (TypeError, ValueError) as exc:  # an unknown or invalid field
+                raise ValueError(f"bad entry in '{key}': {exc}") from None
+    return cls(**kwargs)
 
 
 @dataclass
@@ -70,14 +115,19 @@ class HeadConfig:
             raise ValueError("num_classes must be >= 2")
 
 
+@dataclass
+class _Header:
+    """A checkpoint's config; `save` writes every field of every section."""
+    backbone: BackboneConfig
+    dca: DcaConfig
+    head: HeadConfig
+
+
 class DcaModel:
     """Backbone -> attention block -> head, with a flat named parameter dict."""
 
     def __init__(self, backbone: BackboneConfig, dca: DcaConfig, head: HeadConfig,
                  rng: np.random.Generator):
-        if dca.channels != backbone.feature_channels:
-            raise ValueError(f"attention channels {dca.channels} must match backbone "
-                             f"output channels {backbone.feature_channels}")
         self.backbone = backbone
         self.dca = dca
         self.head = head
@@ -90,7 +140,7 @@ class DcaModel:
                                                    requires_grad=True)
             self.params[f"backbone{i}_b"] = Tensor(np.zeros(cout), requires_grad=True)
             cin = cout
-        self.params.update(init_dca_params(dca, rng))
+        self.params.update(init_dca_params(dca, backbone.feature_channels, rng))
         d, units = backbone.feature_channels, head.hidden_units
         for name, a in (("head_w1", uniform_init(rng, (d, units), d)),
                         ("head_b1", np.zeros(units)),
@@ -118,7 +168,7 @@ class DcaModel:
         x = image
         for i, (_, stride) in enumerate(self.backbone.blocks):
             x = relu(conv2d(x, self.params[f"backbone{i}_w"], self.params[f"backbone{i}_b"],
-                            stride=stride, padding="same"))
+                            stride=stride))
         return x
 
     def head_logits(self, f_dca: Tensor, training: bool = False,
@@ -145,8 +195,7 @@ class DcaModel:
     # parameter blobs in declaration order (u64 count + little-endian f64s)
 
     def config_dict(self) -> dict:
-        return {"backbone": asdict(self.backbone), "dca": asdict(self.dca),
-                "head": asdict(self.head)}
+        return asdict(_Header(self.backbone, self.dca, self.head))
 
     def save(self, path) -> None:
         blob = bytearray()
@@ -184,14 +233,24 @@ class DcaModel:
             cfg = json.loads(cfg_bytes.decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise CheckpointError(path, 12, f"config is not UTF-8 JSON: {exc}") from None
-        if not isinstance(cfg, dict) or set(cfg) != {"backbone", "dca", "head"}:
+        sections = _hints(_Header)
+        if (not isinstance(cfg, dict) or set(cfg) != set(sections)
+                or not all(isinstance(section, dict) for section in cfg.values())):
             raise CheckpointError(path, 12, "config must hold exactly the sections "
-                                            "backbone, dca and head")
+                                            "backbone, dca and head, each an object")
+        channels = cfg["dca"].pop("channels", None)  # the attention width older saves wrote
         try:
-            model = cls(BackboneConfig(**cfg["backbone"]), DcaConfig(**cfg["dca"]),
-                        HeadConfig(**cfg["head"]), rng=np.random.default_rng(0))
-        except (TypeError, ValueError) as exc:
+            for name, section_cls in sections.items():
+                missing = [f.name for f in fields(section_cls) if f.name not in cfg[name]]
+                if missing:
+                    raise ValueError(f"section '{name}' lacks {missing}")
+            header = parse_config(_Header, cfg)
+            width = header.backbone.feature_channels
+            if channels is not None and (type(channels) is not int or channels != width):
+                raise ValueError(f"'dca.channels' is {channels!r}, not the backbone width {width}")
+        except ValueError as exc:
             raise CheckpointError(path, 12, f"bad config: {exc}") from None
+        model = cls(header.backbone, header.dca, header.head, rng=np.random.default_rng(0))
         off = 12 + cfg_len
         for name, p in model.params.items():
             (count,) = struct.unpack("<Q", read(off, 8, f"length of {name}"))

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -19,14 +18,14 @@ from .autograd import Tape, Tensor, backward, softmax
 from .data import Sample, SyntheticConfig, kfold_split
 from .imaging import ClaheConfig, read_ppm, resize_bilinear, clahe
 from .metrics import EvalReport, FoldMetrics, confusion, metrics
-from .model import BackboneConfig, DcaModel, HeadConfig
+from .model import BackboneConfig, DcaModel, HeadConfig, parse_config
 from .optim import AdamWConfig, AdamWState, adamw_step, cross_entropy
 
 
 @dataclass
 class RunConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
-    dca: DcaConfig = field(default_factory=lambda: DcaConfig(channels=32))
+    dca: DcaConfig = field(default_factory=DcaConfig)
     head: HeadConfig = field(default_factory=HeadConfig)
     adamw: AdamWConfig = field(default_factory=AdamWConfig)
     clahe: ClaheConfig = field(default_factory=ClaheConfig)
@@ -46,23 +45,10 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         """Build a config from parsed JSON; a malformed entry raises a ValueError naming it."""
-        if not isinstance(raw, dict):
-            raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
-        hints = get_type_hints(cls)
-        unknown = set(raw) - set(hints)
+        unknown = set(raw) - {f.name for f in fields(cls)} if isinstance(raw, dict) else ()
         if unknown:
             raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-        _check_types(cls, raw)
-        kwargs = {}
-        for key, value in raw.items():
-            try:
-                if is_dataclass(hints[key]):  # a section
-                    _check_types(hints[key], value)
-                    value = hints[key](**value)
-            except (TypeError, ValueError) as exc:  # an unknown or invalid field
-                raise ValueError(f"bad entry in '{key}': {exc}") from None
-            kwargs[key] = value
-        return cls(**kwargs)
+        return parse_config(cls, raw)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -76,30 +62,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _conforms(value, hint) -> bool:
-    """Whether a parsed JSON value has the annotated type. An int passes for a
-    float, a bool only for a bool, and a list for a list or a tuple."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is list:
-        return isinstance(value, (list, tuple)) and all(_conforms(v, args[0]) for v in value)
-    if origin is tuple:
-        return (isinstance(value, (list, tuple)) and len(value) == len(args)
-                and all(map(_conforms, value, args)))
-    return type(value) is hint or (hint is float and type(value) is int)
-
-
-def _check_types(cls, raw: dict) -> None:
-    """Raise a ValueError naming the first known entry of `raw` whose value does
-    not have its annotated type in dataclass `cls`; a section must be a dict."""
-    hints = get_type_hints(cls)
-    for key, value in raw.items():
-        hint = dict if is_dataclass(hints.get(key)) else hints.get(key)
-        if hint is not None and not _conforms(value, hint):
-            plain = get_origin(hint) is None
-            raise ValueError(f"'{key}' must be {hint.__name__ if plain else hint}, "
-                             f"got {type(value).__name__ if plain else repr(value)}")
 
 
 # ---------------------------------------------------------------------------

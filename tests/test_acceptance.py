@@ -59,9 +59,9 @@ def corpus(tmp_path_factory):
 def trained(corpus):
     """Held-out accuracy for full / spatial-only / gated-only across 3 seeds."""
     variants = {
-        "full": DcaConfig(channels=32),
-        "spatial": DcaConfig(channels=32, enable_gated=False, enable_refine=False),
-        "gated": DcaConfig(channels=32, enable_spatial=False, enable_refine=False),
+        "full": DcaConfig(),
+        "spatial": DcaConfig(enable_gated=False, enable_refine=False),
+        "gated": DcaConfig(enable_spatial=False, enable_refine=False),
     }
     tr, te = corpus.train_idx, corpus.test_idx
     accuracies = {}
@@ -93,7 +93,7 @@ def trained(corpus):
 def test_gradient_suite_full_model():
     rng = np.random.default_rng(37)
     model = DcaModel(BackboneConfig(input_size=16, blocks=[(4, 2), (8, 2)]),
-                     DcaConfig(channels=8),
+                     DcaConfig(),
                      HeadConfig(hidden_units=8, dropout_rate=0.0), rng)
     # conditioned evaluation point: keeps every gradient entry above the
     # central-difference roundoff floor (~1e-11 at h=1e-5 on an O(1) loss)
@@ -120,12 +120,12 @@ def test_gradient_suite_full_model():
 
 
 def test_attention_invariants_bulk():
-    full = DcaConfig(channels=8)
-    spatial = DcaConfig(channels=8, enable_gated=False, enable_refine=False)
-    gated = DcaConfig(channels=8, enable_spatial=False, enable_refine=False)
-    no_refine = DcaConfig(channels=8, enable_refine=False)
+    full = DcaConfig()
+    spatial = DcaConfig(enable_gated=False, enable_refine=False)
+    gated = DcaConfig(enable_spatial=False, enable_refine=False)
+    no_refine = DcaConfig(enable_refine=False)
     rng = np.random.default_rng(0)
-    params = init_dca_params(full, rng)
+    params = init_dca_params(full, 8, rng)
 
     worst_sum = 0.0
     ok_range = True
@@ -154,17 +154,13 @@ def test_attention_invariants_bulk():
 # 3. oracle equivalence (conv2d / metrics / AdamW)
 
 
-def conv2d_oracle(x, k, b, stride, padding):
+def conv2d_oracle(x, k, b, stride):
     n, h, w, cin = x.shape
     kh, kw, _, cout = k.shape
-    if padding == "same":
-        ho, wo = -(-h // stride), -(-w // stride)
-        th = max((ho - 1) * stride + kh - h, 0)
-        tw = max((wo - 1) * stride + kw - w, 0)
-        xp = np.pad(x, ((0, 0), (th // 2, th - th // 2), (tw // 2, tw - tw // 2), (0, 0)))
-    else:
-        ho, wo = (h - kh) // stride + 1, (w - kw) // stride + 1
-        xp = x
+    ho, wo = -(-h // stride), -(-w // stride)
+    th = max((ho - 1) * stride + kh - h, 0)
+    tw = max((wo - 1) * stride + kw - w, 0)
+    xp = np.pad(x, ((0, 0), (th // 2, th - th // 2), (tw // 2, tw - tw // 2), (0, 0)))
     out = np.zeros((n, ho, wo, cout))
     for ni in range(n):
         for i in range(ho):
@@ -195,13 +191,13 @@ def test_oracle_equivalence():
     rng = np.random.default_rng(1)
 
     conv_err = 0.0
-    for stride, padding in ((1, "same"), (2, "same"), (1, "valid"), (2, "valid")):
+    for stride in (1, 2):
         x = rng.standard_normal((2, 7, 6, 3))
         k = rng.standard_normal((3, 3, 3, 4))
         b = rng.standard_normal(4)
-        got = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding)
+        got = conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride)
         conv_err = max(conv_err, float(np.max(np.abs(
-            got.data - conv2d_oracle(x, k, b, stride, padding)))))
+            got.data - conv2d_oracle(x, k, b, stride)))))
 
     metric_err = 0.0
     for _ in range(1000):
@@ -318,7 +314,7 @@ def test_explanation_overlap(corpus, trained):
 def test_training_determinism(tmp_path):
     cfg = {
         "backbone": {"input_size": 16, "blocks": [[4, 2], [8, 2]]},
-        "dca": {"channels": 8}, "head": {"hidden_units": 8},
+        "head": {"hidden_units": 8},
         "clahe": {"tiles": 2},
         "synthetic": {"count": 20, "size": 16, "seed": 5},
         "epochs": 1, "batch_size": 8, "k_folds": 2, "seed": 5,

@@ -8,7 +8,6 @@ from dcan.model import DcaModel
 
 TINY = {
     "backbone": {"input_size": 16, "blocks": [[4, 2], [8, 2]]},
-    "dca": {"channels": 8},
     "head": {"hidden_units": 8},
     "clahe": {"tiles": 2},
     "synthetic": {"count": 20, "size": 16, "seed": 11},

@@ -11,7 +11,7 @@ from dcan.model import BackboneConfig, DcaModel, HeadConfig
 
 def small_model(seed=0):
     return DcaModel(BackboneConfig(input_size=16, blocks=[(4, 2), (8, 2)]),
-                    DcaConfig(channels=8),
+                    DcaConfig(),
                     HeadConfig(hidden_units=8, dropout_rate=0.0),
                     rng=np.random.default_rng(seed))
 
@@ -157,7 +157,7 @@ class TestAttentionHeatmap:
 
     def test_absent_branch_rejected(self):
         model = DcaModel(BackboneConfig(input_size=16, blocks=[(4, 2), (8, 2)]),
-                         DcaConfig(channels=8, enable_refine=False),
+                         DcaConfig(enable_refine=False),
                          HeadConfig(hidden_units=8), rng=np.random.default_rng(14))
         _, maps = model.forward(Tensor(np.zeros((1, 16, 16, 3))))
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from dcan.optim import AdamWConfig, AdamWState, adamw_step, cross_entropy
 
 def small_model(seed=0, dropout_rate=0.0, unit_norm=True):
     return DcaModel(BackboneConfig(input_size=16, blocks=[(4, 2), (8, 2)]),
-                    DcaConfig(channels=8),
+                    DcaConfig(),
                     HeadConfig(hidden_units=8, dropout_rate=dropout_rate,
                                unit_norm=unit_norm),
                     rng=np.random.default_rng(seed))
@@ -34,15 +34,10 @@ class TestConfigs:
         with pytest.raises(ValueError):
             HeadConfig(num_classes=1)
 
-    def test_channel_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DcaModel(BackboneConfig(), DcaConfig(channels=16), HeadConfig(),
-                     rng=np.random.default_rng(0))
-
 
 class TestBackbone:
     def test_default_output_shape(self):
-        model = DcaModel(BackboneConfig(), DcaConfig(channels=32), HeadConfig(),
+        model = DcaModel(BackboneConfig(), DcaConfig(), HeadConfig(),
                          rng=np.random.default_rng(0))
         out = model.backbone_forward(Tensor(np.zeros((2, 64, 64, 3))))
         assert out.shape == (2, 8, 8, 32)
@@ -217,22 +212,50 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=re.escape(f"{bad}: byte ")):
                 DcaModel.load(bad)
 
+    @staticmethod
+    def save_with_config(model, path, cfg):
+        """Save `model`, then replace its header's config with `cfg`."""
+        model.save(path)
+        data = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", data, 8)
+        text = json.dumps(cfg).encode("utf-8")
+        path.write_bytes(data[:8] + struct.pack("<I", len(text)) + text + data[12 + cfg_len:])
+
     @pytest.mark.parametrize("mutate", [
         lambda cfg: cfg.pop("dca"),
         lambda cfg: cfg.update(optimizer={}),
-        lambda cfg: cfg["dca"].pop("channels"),
+        lambda cfg: cfg["backbone"].pop("input_size"),
         lambda cfg: cfg["head"].update(bogus=1),
         lambda cfg: cfg["backbone"].update(blocks=[[4, 0], [8, 2]]),
-    ], ids=["missing_section", "unknown_section", "missing_key", "unknown_key", "zero_stride"])
+        lambda cfg: cfg["backbone"].update(blocks=[[4, 2.0], [8, 2]]),
+        lambda cfg: cfg["head"].update(unit_norm=1),
+        lambda cfg: cfg["dca"].update(channels=4),
+        lambda cfg: cfg["dca"].update(channels=8.0),
+        lambda cfg: cfg["head"].pop("hidden_units"),
+        lambda cfg: cfg.update(dca=[]),
+    ], ids=["missing_section", "unknown_section", "missing_key", "unknown_key", "zero_stride",
+            "float_stride", "int_unit_norm", "legacy_channels_mismatch", "legacy_channels_float",
+            "missing_hidden_units",
+            "section_not_object"])
     def test_bad_config_raises_located_error(self, tmp_path, mutate):
         model = small_model()
         cfg = model.config_dict()
         mutate(cfg)
-        text = json.dumps(cfg).encode("utf-8")
         path = tmp_path / "model.dcam"
-        model.save(path)
-        data = path.read_bytes()
-        (cfg_len,) = struct.unpack_from("<I", data, 8)
-        path.write_bytes(data[:8] + struct.pack("<I", len(text)) + text + data[12 + cfg_len:])
+        self.save_with_config(model, path, cfg)
         with pytest.raises(CheckpointError, match=re.escape(f"{path}: byte 12: ")):
             DcaModel.load(path)
+
+    def test_legacy_channels_entry_loads(self, tmp_path):
+        # headers once stored the attention width; a matching entry is dropped
+        model = small_model(seed=22)
+        legacy = model.config_dict()
+        legacy["dca"]["channels"] = model.backbone.feature_channels
+        old, new = tmp_path / "legacy.dcam", tmp_path / "model.dcam"
+        self.save_with_config(model, old, legacy)
+        model.save(new)
+        loaded = DcaModel.load(old)
+        assert loaded.config_dict() == model.config_dict()
+        x = Tensor(np.random.default_rng(23).random((1, 16, 16, 3)))
+        np.testing.assert_array_equal(loaded.forward(x)[0].data,
+                                      DcaModel.load(new).forward(x)[0].data)

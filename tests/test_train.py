@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcan.attention import DcaConfig
 from dcan.data import SyntheticConfig, generate_synthetic, load_dataset
 from dcan.imaging import ClaheConfig
 from dcan.metrics import metrics
@@ -18,7 +17,6 @@ from dcan.train import (RunConfig, _require_finite, load_arrays, predict_proba,
 def tiny_config(data_dir="data", out_dir="out"):
     return RunConfig(
         backbone=BackboneConfig(input_size=16, blocks=[(4, 2), (8, 2)]),
-        dca=DcaConfig(channels=8),
         head=HeadConfig(hidden_units=8),
         clahe=ClaheConfig(tiles=2),
         synthetic=SyntheticConfig(count=16, size=16, seed=5),
@@ -69,7 +67,10 @@ class TestRunConfig:
          "bad entry in 'backbone': 'blocks' must be list[tuple[int, int]], "
          "got [[8, 2.0], [16, 2], [32, 2]]"),
         ('{"backbone": {"kernel": 3.0}}', "bad entry in 'backbone': 'kernel' must be int, got float"),
-        ('{"dca": {"channels": 32.0}}', "bad entry in 'dca': 'channels' must be int, got float"),
+        ('{"dca": {"spatial_kernel": 3.0}}',
+         "bad entry in 'dca': 'spatial_kernel' must be int, got float"),
+        ('{"dca": {"channels": 32}}',
+         "bad entry in 'dca': DcaConfig.__init__() got an unexpected keyword argument 'channels'"),
         ('{"clahe": {"tiles": 2.5}}', "bad entry in 'clahe': 'tiles' must be int, got float"),
         ('{"epochs": true}', "'epochs' must be int, got bool"),
         ('{"batch_size": 0}', "'batch_size' must be >= 1, got 0"),
@@ -95,7 +96,6 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig.from_dict({})
         assert cfg.epochs == 15 and cfg.k_folds == 5
-        assert cfg.backbone.feature_channels == cfg.dca.channels
 
 
 @pytest.fixture(scope="module")
