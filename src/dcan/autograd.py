@@ -43,8 +43,9 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g + 0.0  # a new array, never the caller's; bitwise 0.0 + g
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -114,6 +115,26 @@ def _same_pad(extent: int, k: int, stride: int):
     return out, lo, total - lo  # extra pixel goes to the bottom/right
 
 
+def _bordered(a, top, bottom, left, right):
+    """`a`, C-contiguous, inside a zero border; only the border is zero-filled."""
+    if not (top or bottom or left or right):
+        return np.ascontiguousarray(a)
+    n, h, w, c = a.shape
+    out = np.empty((n, top + h + bottom, left + w + right, c))
+    out[:, :top] = out[:, top + h:] = out[:, :, :left] = out[:, :, left + w:] = 0.0
+    out[:, top:top + h, left:left + w] = a
+    return out
+
+
+def _windows(a, top, left, rows, cols, kh, kw, stride):
+    """im2col: the kh x kw windows of C-contiguous `a`, `stride` apart from (top, left),
+    as [n*rows*cols, kh*kw*c]; the np.ndarray view is cheaper than as_strided and bounds-checked."""
+    (n, _, _, c), (sn, sh, sw, sc) = a.shape, a.strides
+    view = np.ndarray((n, rows, cols, kh, kw, c), a.dtype, a, top * sh + left * sw,
+                      (sn, sh * stride, sw * stride, sh, sw, sc))
+    return np.ascontiguousarray(view).reshape(n * rows * cols, kh * kw * c)
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     """2-D convolution (cross-correlation), NHWC input, [k,k,Cin,Cout] kernel,
     "same" zero padding: the output is ceil(H/stride) x ceil(W/stride)."""
@@ -131,17 +152,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         raise ValueError("conv2d requires kernel size >= 1 and stride >= 1")
     ho, pt, pb = _same_pad(h, kh, stride)
     wo, pl, pr = _same_pad(w, kw, stride)
-    xp = np.zeros((n, h + pt + pb, w + pl + pr, cin))
-    xp[:, pt:pt + h, pl:pl + w, :] = x.data
-
-    # im2col: one copy of the [n, ho, wo, kh, kw, cin] window view of xp (the
-    # ho/wo arithmetic above keeps every window inside it), then one matmul
-    sn, sh, sw, sc = xp.strides
-    flat = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
-        xp, (n, ho, wo, kh, kw, cin), (sn, sh * stride, sw * stride, sh, sw, sc),
-        writeable=False)).reshape(n * ho * wo, kh * kw * cin)
-    wmat = kernel.data.reshape(kh * kw * cin, cout)
-    out = Tensor((flat @ wmat + bias.data).reshape(n, ho, wo, cout))
+    flat = _windows(_bordered(x.data, pt, pb, pl, pr), 0, 0, ho, wo, kh, kw, stride)
+    y = flat @ kernel.data.reshape(kh * kw * cin, cout)
+    y += bias.data
+    out = Tensor(y.reshape(n, ho, wo, cout))
 
     def bwd(g):
         gflat = g.reshape(n * ho * wo, cout)
@@ -150,14 +164,22 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         if bias.requires_grad:
             bias.accumulate_grad(gflat.sum(axis=0))
         if x.requires_grad:
-            # col2im tap by tap from one gemm (a per-tap matmul rounds differently)
-            dcols = (gflat @ wmat.T).reshape(n, ho, wo, kh, kw, cin)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i:i + ho * stride:stride,
-                        j:j + wo * stride:stride, :] += dcols[:, :, :, i, j]
-            x.accumulate_grad(dxp[:, pt:pt + h, pl:pl + w, :])
+            # phase (r, c) of dx, rows r, r + stride, ... by cols c, c + stride, ..., takes only
+            # the taps ti, ti + stride, ... by tj, tj + stride, ...: one stride-1 correlation of
+            # g with those taps flipped. g's zero border, most taps per phase - 1, holds them all.
+            bh, bw = -(-kh // stride) - 1, -(-kw // stride) - 1
+            gz = _bordered(g, bh, bh, bw, bw)
+            dx = np.empty_like(x.data)
+            for r in range(min(stride, h)):
+                for c in range(min(stride, w)):
+                    ti, tj = (r + pt) % stride, (c + pl) % stride
+                    kf = kernel.data[ti::stride, tj::stride][::-1, ::-1].swapaxes(2, 3)
+                    (u, v), phase = kf.shape[:2], dx[:, r::stride, c::stride]
+                    sr = bh + (r + pt) // stride - u + 1 if u else 0  # no tap: reads nothing
+                    sc = bw + (c + pl) // stride - v + 1 if v else 0
+                    win = _windows(gz, sr, sc, *phase.shape[1:3], u, v, 1)
+                    phase[...] = (win @ kf.reshape(-1, cin)).reshape(phase.shape)
+            x.accumulate_grad(dx)
 
     return _record(out, (x, kernel, bias), bwd)
 

@@ -165,9 +165,9 @@ def main(argv=None) -> int:
         config = RunConfig.from_json(args.config) if args.config else RunConfig()
         if args.out is not None:
             config.output_dir = args.out
-        if args.seed is not None:
-            config.seed = args.seed
-            config.synthetic.seed = args.seed
+        if args.seed is not None:  # replace() runs the configs' range checks
+            synthetic = dataclasses.replace(config.synthetic, seed=args.seed)
+            config = dataclasses.replace(config, seed=args.seed, synthetic=synthetic)
         if args.command == "gen":
             cmd_gen(config)
         elif args.command == "train":

@@ -23,11 +23,21 @@ HIGHLIGHT_COUNT_RANGE = (0, 4)  # specular highlights per image, inclusive
 NOISE_STD = 0.02  # per-pixel Gaussian noise, as a fraction of 255
 
 
+def check_floors(config, floors) -> None:
+    """Raise a ValueError naming the first field of `config` below its floor."""
+    for key, low in floors:
+        if getattr(config, key) < low:
+            raise ValueError(f"'{key}' must be >= {low}, got {getattr(config, key)}")
+
+
 @dataclass
 class SyntheticConfig:
     count: int = 100
     size: int = 64
     seed: int = 0
+
+    def __post_init__(self):
+        check_floors(self, (("count", 1), ("size", 4), ("seed", 0)))  # 3 px fails to render
 
 
 @dataclass

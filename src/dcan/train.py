@@ -15,7 +15,7 @@ import numpy as np
 
 from .attention import DcaConfig
 from .autograd import Tape, Tensor, backward, softmax
-from .data import Sample, SyntheticConfig, kfold_split
+from .data import Sample, SyntheticConfig, check_floors, kfold_split
 from .imaging import ClaheConfig, read_ppm, resize_bilinear, clahe
 from .metrics import EvalReport, FoldMetrics, confusion, metrics
 from .model import BackboneConfig, DcaModel, HeadConfig, parse_config
@@ -38,9 +38,7 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        for key, low in (("epochs", 1), ("batch_size", 1), ("k_folds", 2)):
-            if getattr(self, key) < low:
-                raise ValueError(f"'{key}' must be >= {low}, got {getattr(self, key)}")
+        check_floors(self, (("epochs", 1), ("batch_size", 1), ("k_folds", 2), ("seed", 0)))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":

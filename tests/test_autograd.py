@@ -100,7 +100,10 @@ def analytic_grad(op, x_data, weight=None):
     return x.grad
 
 
-SWEEP = [(4, 4, 1, 1), (5, 7, 3, 1), (8, 8, 3, 2), (6, 5, 3, 1), (8, 6, 3, 2), (7, 7, 1, 2)]
+SWEEP = [(4, 4, 1, 1), (5, 7, 3, 1), (8, 8, 3, 2), (6, 5, 3, 1), (8, 6, 3, 2), (7, 7, 1, 2),
+         # input-gradient stride phases: odd extents with a top pad at stride 2; 3 and 2
+         # taps per phase; stride 3; phases that no tap reaches (k < stride)
+         (7, 5, 3, 2), (9, 9, 5, 2), (7, 8, 3, 3), (6, 6, 1, 3)]
 
 
 def sweep_ids(cases):
@@ -334,6 +337,25 @@ class TestBackward:
             loss = tsum(elementwise("add", a, b))
         backward(loss, tape)
         np.testing.assert_allclose(x.grad, [8.0])
+
+    def test_first_gradient_is_stored_as_a_copy(self):
+        # add hands one upstream array to both inputs; kept by reference, a later
+        # gradient into `a` would also land in b.grad and in that array
+        a, b = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0], requires_grad=True)
+        with Tape() as tape:
+            s = elementwise("add", a, b)
+            loss = tsum(s)
+        backward(loss, tape)
+        a.accumulate_grad(np.array([10.0, 20.0]))
+        np.testing.assert_array_equal(a.grad, [11.0, 21.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(s.grad, [1.0, 1.0])
+        # global_average_pool's gradient is a read-only broadcast view
+        x = Tensor(np.ones((1, 2, 2, 1)), requires_grad=True)
+        with Tape() as tape:
+            loss = tsum(elementwise("add", global_average_pool(x), global_average_pool(x)))
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, np.full((1, 2, 2, 1), 0.5))
 
     def test_rejects_nonscalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

@@ -157,6 +157,13 @@ class TestFailurePaths:
         assert capsys.readouterr().err == (f"error: ValueError: {path}: 'clahe' must be "
                                            f"dict, got int\n")
 
+    def test_negative_seed_override_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY, data_dir=str(tmp_path / "data"))))
+        assert main(["gen", "--config", str(path), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: ValueError: 'seed' must be >= 0, got -1\n"
+        assert not (tmp_path / "data").exists()
+
     def test_seed_override_changes_corpus(self, tmp_path):
         cfg = dict(TINY, data_dir=str(tmp_path / "d1"), synthetic={"count": 4, "size": 16})
         path = tmp_path / "config.json"

@@ -77,6 +77,11 @@ class TestRunConfig:
         ('{"head": {"hidden_units": 0}}', "bad entry in 'head': hidden_units must be >= 1, got 0"),
         ('{"k_folds": 1}', "'k_folds' must be >= 2, got 1"),
         ('{"epochs": -1}', "'epochs' must be >= 1, got -1"),
+        ('{"seed": -1}', "'seed' must be >= 0, got -1"),
+        ('{"synthetic": {"size": 0, "count": 0}}',
+         "bad entry in 'synthetic': 'count' must be >= 1, got 0"),
+        ('{"synthetic": {"size": 3}}', "bad entry in 'synthetic': 'size' must be >= 4, got 3"),
+        ('{"synthetic": {"seed": -1}}', "bad entry in 'synthetic': 'seed' must be >= 0, got -1"),
     ])
     def test_malformed_entry_names_path_and_key(self, tmp_path, text, message):
         path = tmp_path / "run.json"
