@@ -13,7 +13,7 @@ import numpy as np
 
 from .attention import DcaConfig
 from .autograd import Tensor, grad_check
-from .data import generate_synthetic, load_dataset
+from .data import CLASS_NAMES, generate_synthetic, load_dataset
 from .imaging import read_ppm, resize_bilinear, clahe
 from .metrics import METRIC_NAMES, EvalReport
 from .model import BackboneConfig, DcaModel, HeadConfig
@@ -118,8 +118,7 @@ def cmd_gradcheck(config: RunConfig) -> None:
                               kernel=config.backbone.kernel)
     dca = DcaConfig(spatial_kernel=config.dca.spatial_kernel,
                     refine_kernel=config.dca.refine_kernel)
-    head = HeadConfig(hidden_units=8, dropout_rate=0.0,
-                      num_classes=config.head.num_classes, unit_norm=config.head.unit_norm)
+    head = HeadConfig(hidden_units=8, dropout_rate=0.0, unit_norm=config.head.unit_norm)
     # fixed evaluation point, chosen so no gradient entry sits below the
     # central-difference roundoff floor (~1e-11 at h=1e-5 on an O(1) loss)
     rng = np.random.default_rng(37)
@@ -127,7 +126,7 @@ def cmd_gradcheck(config: RunConfig) -> None:
     for p in model.params.values():
         p.data = rng.normal(0.0, 0.4, size=p.data.shape)
     x = rng.random((1, 16, 16, 3))
-    onehot = np.zeros((1, head.num_classes))
+    onehot = np.zeros((1, len(CLASS_NAMES)))
     onehot[0, 0] = 1.0
 
     def loss_fn():

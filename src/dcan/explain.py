@@ -8,7 +8,6 @@ class logit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +15,6 @@ import numpy as np
 from .autograd import Tape, Tensor, backward, elementwise, softmax, tsum
 from .imaging import Image, bilinear, write_ppm
 from .model import DcaModel
-
-
-@dataclass
-class Heatmap:
-    values: np.ndarray  # [height, width] floats in [0, 1]
-    flagged: bool = False  # true when the source gradient vanished everywhere
 
 
 def _normalize(values: np.ndarray) -> np.ndarray:
@@ -46,11 +39,12 @@ def gradcam_map(activations: np.ndarray, gradients: np.ndarray) -> np.ndarray:
     return np.maximum((activations * weights).sum(axis=2), 0.0)
 
 
-def gradcam_pp(model: DcaModel, image: Tensor) -> tuple[np.ndarray, dict[str, Tensor], Heatmap]:
+def gradcam_pp(model: DcaModel, image: Tensor) -> tuple[np.ndarray, dict[str, Tensor], np.ndarray]:
     """Explain the predicted class of one image (batch of 1) from one taped forward.
 
     Returns the class probabilities, the attention maps and the saliency
-    heatmap, upscaled to the image size.
+    heatmap: [S, S] floats in [0, 1] at the image size S, all zero when the
+    GradCAM++ map has no positive entry.
     """
     if image.data.ndim != 4 or image.shape[0] != 1:
         raise ValueError("gradcam_pp expects a single-image batch [1,S,S,3]")
@@ -64,35 +58,32 @@ def gradcam_pp(model: DcaModel, image: Tensor) -> tuple[np.ndarray, dict[str, Te
     for p in model.params.values():
         p.zero_grad()
 
-    size = model.backbone.input_size
     f_dca = maps["f_dca"]
-    grads = f_dca.grad
-    if not np.any(grads):
-        return probs, maps, Heatmap(np.zeros((size, size)), flagged=True)
-    raw = gradcam_map(f_dca.data[0], grads[0])
-    return probs, maps, Heatmap(_normalize(bilinear(raw, size)), flagged=not np.any(raw > 0))
+    raw = gradcam_map(f_dca.data[0], f_dca.grad[0])
+    return probs, maps, _normalize(bilinear(raw, model.backbone.input_size))
 
 
-def attention_heatmap(maps: dict[str, Tensor], name: str, size: int) -> Heatmap:
+def attention_heatmap(maps: dict[str, Tensor], name: str, size: int) -> np.ndarray:
     """Channel-mean of one retained attention map, upscaled and normalized."""
     if name not in maps:
         raise ValueError(f"attention map {name} absent (branch disabled)")
     raw = np.maximum(maps[name].data[0].mean(axis=2), 0.0)
-    return Heatmap(_normalize(bilinear(raw, size)))
+    return _normalize(bilinear(raw, size))
 
 
-def export_heatmap(heatmap: Heatmap, base_image: Image, out_path) -> None:
-    """Write <stem>.pgm (raw map) and <stem>.ppm (red overlay at 50% blend)."""
-    height, width = heatmap.values.shape
+def export_heatmap(heatmap: np.ndarray, base_image: Image, out_path) -> None:
+    """Write <stem>.pgm (the [H, W] map in [0, 1]) and <stem>.ppm (red overlay
+    at 50% blend)."""
+    height, width = heatmap.shape
     if (width, height) != (base_image.width, base_image.height):
         raise ValueError(f"heatmap {width}x{height} does not match "
                          f"base image {base_image.width}x{base_image.height}")
     base = Path(out_path)
     stem = base.with_suffix("")
-    gray = np.clip(np.rint(heatmap.values * 255.0), 0, 255).astype(np.uint8)
+    gray = np.clip(np.rint(heatmap * 255.0), 0, 255).astype(np.uint8)
     Path(f"{stem}.pgm").write_bytes(write_ppm(Image(gray[..., None])))
 
-    alpha = 0.5 * heatmap.values
+    alpha = 0.5 * heatmap
     out = base_image.rgb().astype(np.float64)
     out[..., 0] = np.floor((1.0 - alpha) * out[..., 0] + alpha * 255.0)
     Path(f"{stem}.ppm").write_bytes(write_ppm(Image(np.clip(out, 0, 255).astype(np.uint8))))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from .attention import DcaConfig, dca_forward, init_dca_params, uniform_init
 from .autograd import (ShapeError, Tensor, conv2d, dense, dropout, global_average_pool, relu,
                        softmax_rows)
+from .data import CLASS_NAMES, check_floors
 from .optim import unit_norm_project
 
 CHECKPOINT_MAGIC = b"DCAM"
@@ -50,26 +51,33 @@ def _conforms(value, hint) -> bool:
 
 
 def parse_config(cls, raw):
-    """Build dataclass `cls` from a parsed JSON object. Each known entry must
-    have its annotated type; an entry annotated with a dataclass must be an
+    """Build dataclass `cls` from a parsed JSON object. Every entry must name a
+    field of `cls` and have its annotated type, and every field without a
+    default must be present; an entry annotated with a dataclass must be an
     object and is built the same way, its errors prefixed with "bad entry in
-    '<key>': ". Raises ValueError naming the first bad entry; an unknown or
-    missing field is the TypeError of `cls(**kwargs)`."""
+    '<key>': ". Raises ValueError naming the first bad entry."""
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     hints = _hints(cls)
+    unknown = sorted(set(raw) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing config key(s): {missing}")
     kwargs = dict(raw)
     for key, value in raw.items():
-        section = is_dataclass(hints.get(key))
-        hint = dict if section else hints.get(key)
-        if hint is not None and not _conforms(value, hint):
+        section = is_dataclass(hints[key])
+        hint = dict if section else hints[key]
+        if not _conforms(value, hint):
             plain = get_origin(hint) is None
             raise ValueError(f"'{key}' must be {hint.__name__ if plain else hint}, "
                              f"got {type(value).__name__ if plain else repr(value)}")
         if section:
             try:
                 kwargs[key] = parse_config(hints[key], value)
-            except (TypeError, ValueError) as exc:  # an unknown or invalid field
+            except ValueError as exc:
                 raise ValueError(f"bad entry in '{key}': {exc}") from None
     return cls(**kwargs)
 
@@ -84,8 +92,7 @@ class BackboneConfig:
         self.blocks = [tuple(b) for b in self.blocks]
         if not self.blocks:
             raise ValueError("blocks must not be empty")
-        if self.kernel < 1 or self.input_size < 1:
-            raise ValueError(f"kernel {self.kernel} and input_size {self.input_size} must be >= 1")
+        check_floors(self, (("kernel", 1), ("input_size", 1)))
         side = self.input_size
         for channels, stride in self.blocks:
             if channels < 1 or stride < 1:
@@ -103,16 +110,12 @@ class BackboneConfig:
 class HeadConfig:
     hidden_units: int = 64
     dropout_rate: float = 0.3
-    num_classes: int = 2
     unit_norm: bool = True
 
     def __post_init__(self):
-        if self.hidden_units < 1:
-            raise ValueError(f"hidden_units must be >= 1, got {self.hidden_units}")
+        check_floors(self, (("hidden_units", 1),))
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
 
 
 @dataclass
@@ -121,6 +124,12 @@ class _Header:
     backbone: BackboneConfig
     dca: DcaConfig
     head: HeadConfig
+
+
+# header entries older saves wrote, each read off the rest of the config; one
+# loads only when it is the int the config derives
+_LEGACY_ENTRIES = {("dca", "channels"): lambda header: header.backbone.feature_channels,
+                   ("head", "num_classes"): lambda header: len(CLASS_NAMES)}
 
 
 class DcaModel:
@@ -141,11 +150,11 @@ class DcaModel:
             self.params[f"backbone{i}_b"] = Tensor(np.zeros(cout), requires_grad=True)
             cin = cout
         self.params.update(init_dca_params(dca, backbone.feature_channels, rng))
-        d, units = backbone.feature_channels, head.hidden_units
+        d, units, classes = backbone.feature_channels, head.hidden_units, len(CLASS_NAMES)
         for name, a in (("head_w1", uniform_init(rng, (d, units), d)),
                         ("head_b1", np.zeros(units)),
-                        ("head_w2", uniform_init(rng, (units, head.num_classes), units)),
-                        ("head_b2", np.zeros(head.num_classes))):
+                        ("head_w2", uniform_init(rng, (units, classes), units)),
+                        ("head_b2", np.zeros(classes))):
             self.params[name] = Tensor(a, requires_grad=True)
         self.project_unit_norm()
 
@@ -185,7 +194,7 @@ class DcaModel:
 
     def forward(self, image: Tensor, training: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Tensor, dict[str, Tensor]]:
-        """Class logits [N, num_classes] and the attention block's maps."""
+        """Class logits [N, len(CLASS_NAMES)] and the attention block's maps."""
         features = self.backbone_forward(image)
         f_dca, maps = dca_forward(features, self.dca, self.params)
         return self.head_logits(f_dca, training, rng), maps
@@ -233,21 +242,19 @@ class DcaModel:
             cfg = json.loads(cfg_bytes.decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise CheckpointError(path, 12, f"config is not UTF-8 JSON: {exc}") from None
-        sections = _hints(_Header)
-        if (not isinstance(cfg, dict) or set(cfg) != set(sections)
-                or not all(isinstance(section, dict) for section in cfg.values())):
-            raise CheckpointError(path, 12, "config must hold exactly the sections "
-                                            "backbone, dca and head, each an object")
-        channels = cfg["dca"].pop("channels", None)  # the attention width older saves wrote
+        legacy = {(section, key): cfg[section].pop(key) for section, key in _LEGACY_ENTRIES
+                  if isinstance(cfg, dict) and isinstance(cfg.get(section), dict)
+                  and key in cfg[section]}
         try:
-            for name, section_cls in sections.items():
-                missing = [f.name for f in fields(section_cls) if f.name not in cfg[name]]
-                if missing:
-                    raise ValueError(f"section '{name}' lacks {missing}")
             header = parse_config(_Header, cfg)
-            width = header.backbone.feature_channels
-            if channels is not None and (type(channels) is not int or channels != width):
-                raise ValueError(f"'dca.channels' is {channels!r}, not the backbone width {width}")
+            missing = [f"{name}.{f.name}" for name, section_cls in _hints(_Header).items()
+                       for f in fields(section_cls) if f.name not in cfg[name]]
+            if missing:
+                raise ValueError(f"header lacks {missing}")
+            for (section, key), value in legacy.items():
+                derived = _LEGACY_ENTRIES[section, key](header)
+                if type(value) is not int or value != derived:
+                    raise ValueError(f"'{section}.{key}' is {value!r}, not the derived {derived}")
         except ValueError as exc:
             raise CheckpointError(path, 12, f"bad config: {exc}") from None
         model = cls(header.backbone, header.dca, header.head, rng=np.random.default_rng(0))

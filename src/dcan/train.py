@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .attention import DcaConfig
 from .autograd import Tape, Tensor, backward, softmax
-from .data import Sample, SyntheticConfig, check_floors, kfold_split
+from .data import CLASS_NAMES, Sample, SyntheticConfig, check_floors, kfold_split
 from .imaging import ClaheConfig, read_ppm, resize_bilinear, clahe
 from .metrics import EvalReport, FoldMetrics, confusion, metrics
 from .model import BackboneConfig, DcaModel, HeadConfig, parse_config
@@ -41,25 +41,14 @@ class RunConfig:
         check_floors(self, (("epochs", 1), ("batch_size", 1), ("k_folds", 2), ("seed", 0)))
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        """Build a config from parsed JSON; a malformed entry raises a ValueError naming it."""
-        unknown = set(raw) - {f.name for f in fields(cls)} if isinstance(raw, dict) else ()
-        if unknown:
-            raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-        return parse_config(cls, raw)
-
-    @classmethod
     def from_json(cls, path) -> "RunConfig":
         """Load run.json; a malformed file raises a ValueError naming the path
         and either the JSON line and column or the offending key."""
         try:
             with open(path, encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
+                return parse_config(cls, json.load(fh))
         except ValueError as exc:  # also JSONDecodeError and UnicodeDecodeError
             raise ValueError(f"{path}: {exc}") from None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +109,7 @@ def train_model(x: np.ndarray, y: np.ndarray, config: RunConfig,
     state = AdamWState(model.params)
     shuffle_rng = np.random.default_rng(shuffle_seq)
     dropout_rng = np.random.default_rng(dropout_seq)
-    onehot = np.eye(config.head.num_classes)[y]
+    onehot = np.eye(len(CLASS_NAMES))[y]
 
     n = len(y)
     for epoch in range(config.epochs):
@@ -153,7 +142,7 @@ def predict_proba(model: DcaModel, x: np.ndarray, batch_size: int = 32,
 def evaluate(model: DcaModel, x: np.ndarray, y: np.ndarray,
              batch_size: int = 32, threads: int = 1) -> FoldMetrics:
     probs = predict_proba(model, x, batch_size, threads)
-    return metrics(confusion(y, probs.argmax(axis=1), model.head.num_classes))
+    return metrics(confusion(y, probs.argmax(axis=1), len(CLASS_NAMES)))
 
 
 def run_cross_validation(x: np.ndarray, y: np.ndarray, config: RunConfig,

@@ -283,20 +283,20 @@ def test_explanation_overlap(corpus, trained):
         probs, _, hm = gradcam_pp(model, Tensor(corpus.x[i][None]))
         if probs.argmax() != corpus.y[i]:
             continue
-        total_mass = hm.values.sum()
+        total_mass = hm.sum()
         if total_mass <= 0:
             continue
         if sample.label == 1:
             total += 1
             x0, y0, x1, y1 = sample.bbox
-            row, col = np.unravel_index(np.argmax(hm.values), hm.values.shape)
+            row, col = np.unravel_index(np.argmax(hm), hm.shape)
             if x0 <= col <= x1 and y0 <= row <= y1:
                 hits += 1
-            blob_mass.append(hm.values[y0:y1 + 1, x0:x1 + 1].sum() / total_mass)
+            blob_mass.append(hm[y0:y1 + 1, x0:x1 + 1].sum() / total_mass)
         else:
             mask = luma_of(sample.path) >= 235  # specular highlight cores
             if mask.any():
-                highlight_mass.append(hm.values[mask].sum() / total_mass)
+                highlight_mass.append(hm[mask].sum() / total_mass)
 
     rate = hits / total if total else 0.0
     blob = float(np.mean(blob_mass))

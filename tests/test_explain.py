@@ -3,8 +3,8 @@ import pytest
 
 from dcan.attention import DcaConfig, dca_forward
 from dcan.autograd import Tape, Tensor, backward, elementwise, softmax, tsum
-from dcan.explain import (Heatmap, attention_heatmap, export_heatmap,
-                          gradcam_map, gradcam_pp, gradcam_weights)
+from dcan.explain import (attention_heatmap, export_heatmap, gradcam_map, gradcam_pp,
+                          gradcam_weights)
 from dcan.imaging import Image, bilinear, read_ppm
 from dcan.model import BackboneConfig, DcaModel, HeadConfig
 
@@ -44,16 +44,15 @@ class TestGradcamModel:
             if name.startswith("backbone"):
                 p.data = np.zeros_like(p.data)
         _, _, hm = gradcam_pp(model, Tensor(np.random.default_rng(1).random((1, 16, 16, 3))))
-        assert hm.flagged
-        np.testing.assert_array_equal(hm.values, 0.0)
+        np.testing.assert_array_equal(hm, 0.0)
 
     def test_normalized_output(self):
         model = small_model(seed=2)
         _, _, hm = gradcam_pp(model, Tensor(np.random.default_rng(3).random((1, 16, 16, 3))))
-        assert hm.values.shape == (16, 16)
-        assert np.all(hm.values >= 0.0) and np.all(hm.values <= 1.0)
-        if np.any(hm.values > 0):
-            assert hm.values.max() == pytest.approx(1.0)
+        assert hm.shape == (16, 16)
+        assert np.all(hm >= 0.0) and np.all(hm <= 1.0)
+        if np.any(hm > 0):
+            assert hm.max() == pytest.approx(1.0)
 
     def test_leaves_parameter_grads_clean(self):
         model = small_model(seed=4)
@@ -82,7 +81,7 @@ class TestGradcamModel:
             score = tsum(elementwise("mul", model.head_logits(f_dca), Tensor(onehot)))
         backward(score, tape)
         up = bilinear(gradcam_map(f_dca.data[0], f_dca.grad[0]), 16)
-        np.testing.assert_array_equal(hm.values, up / up.max())
+        np.testing.assert_array_equal(hm, up / up.max())
 
     def test_rejects_batches(self):
         model = small_model()
@@ -112,7 +111,7 @@ class TestHeatmapExport:
     def test_zero_map_overlay_equals_base(self, tmp_path):
         rng = np.random.default_rng(8)
         base = self.base_image(rng)
-        hm = Heatmap(np.zeros((8, 8)))
+        hm = np.zeros((8, 8))
         export_heatmap(hm, base, tmp_path / "out.ppm")
         overlay = read_ppm((tmp_path / "out.ppm").read_bytes())
         np.testing.assert_array_equal(overlay.pixels, base.pixels)
@@ -120,7 +119,7 @@ class TestHeatmapExport:
     def test_full_map_blend_arithmetic(self, tmp_path):
         rng = np.random.default_rng(9)
         base = self.base_image(rng)
-        hm = Heatmap(np.ones((8, 8)))
+        hm = np.ones((8, 8))
         export_heatmap(hm, base, tmp_path / "out.ppm")
         overlay = read_ppm((tmp_path / "out.ppm").read_bytes())
         expected_red = np.floor(0.5 * base.pixels[..., 0].astype(float) + 0.5 * 255)
@@ -132,19 +131,19 @@ class TestHeatmapExport:
         base = self.base_image(rng)
         values = rng.random((8, 8))
         values /= values.max()
-        export_heatmap(Heatmap(values), base, tmp_path / "map.ppm")
+        export_heatmap(values, base, tmp_path / "map.ppm")
         back = read_ppm((tmp_path / "map.pgm").read_bytes())
         assert np.max(np.abs(back.pixels[..., 0] / 255.0 - values)) <= 1.0 / 255.0
 
     def test_size_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
-            export_heatmap(Heatmap(np.zeros((4, 4))),
+            export_heatmap(np.zeros((4, 4)),
                            self.base_image(rng, 8), tmp_path / "x.ppm")
         wide = Image(rng.integers(0, 256, (6, 8, 3), dtype=np.uint8))
-        export_heatmap(Heatmap(np.zeros((6, 8))), wide, tmp_path / "wide.ppm")
+        export_heatmap(np.zeros((6, 8)), wide, tmp_path / "wide.ppm")
         with pytest.raises(ValueError, match="heatmap 6x8 does not match base image 8x6"):
-            export_heatmap(Heatmap(np.zeros((8, 6))), wide, tmp_path / "x.ppm")
+            export_heatmap(np.zeros((8, 6)), wide, tmp_path / "x.ppm")
 
 
 class TestAttentionHeatmap:
@@ -152,8 +151,8 @@ class TestAttentionHeatmap:
         model = small_model(seed=12)
         _, maps = model.forward(Tensor(np.random.default_rng(13).random((1, 16, 16, 3))))
         hm = attention_heatmap(maps, "f_s", 16)
-        assert hm.values.shape == (16, 16)
-        assert hm.values.max() == pytest.approx(1.0)
+        assert hm.shape == (16, 16)
+        assert hm.max() == pytest.approx(1.0)
 
     def test_absent_branch_rejected(self):
         model = DcaModel(BackboneConfig(input_size=16, blocks=[(4, 2), (8, 2)]),

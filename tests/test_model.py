@@ -31,8 +31,6 @@ class TestConfigs:
     def test_head_validation(self):
         with pytest.raises(ValueError):
             HeadConfig(dropout_rate=1.0)
-        with pytest.raises(ValueError):
-            HeadConfig(num_classes=1)
 
 
 class TestBackbone:
@@ -233,10 +231,15 @@ class TestCheckpoint:
         lambda cfg: cfg["dca"].update(channels=8.0),
         lambda cfg: cfg["head"].pop("hidden_units"),
         lambda cfg: cfg.update(dca=[]),
+        lambda cfg: cfg.update(dca="channels"),
+        lambda cfg: cfg["head"].update(num_classes=3),
+        lambda cfg: cfg["head"].update(num_classes=2.0),
+        lambda cfg: cfg["head"].update(num_classes=True),
     ], ids=["missing_section", "unknown_section", "missing_key", "unknown_key", "zero_stride",
             "float_stride", "int_unit_norm", "legacy_channels_mismatch", "legacy_channels_float",
             "missing_hidden_units",
-            "section_not_object"])
+            "section_not_object", "section_is_string", "legacy_num_classes_mismatch",
+            "legacy_num_classes_float", "legacy_num_classes_bool"])
     def test_bad_config_raises_located_error(self, tmp_path, mutate):
         model = small_model()
         cfg = model.config_dict()
@@ -246,11 +249,11 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(f"{path}: byte 12: ")):
             DcaModel.load(path)
 
-    def test_legacy_channels_entry_loads(self, tmp_path):
-        # headers once stored the attention width; a matching entry is dropped
+    def assert_legacy_entry_loads(self, tmp_path, section, key, value):
+        # headers once stored facts the config derives; a matching entry is dropped
         model = small_model(seed=22)
         legacy = model.config_dict()
-        legacy["dca"]["channels"] = model.backbone.feature_channels
+        legacy[section][key] = value
         old, new = tmp_path / "legacy.dcam", tmp_path / "model.dcam"
         self.save_with_config(model, old, legacy)
         model.save(new)
@@ -259,3 +262,11 @@ class TestCheckpoint:
         x = Tensor(np.random.default_rng(23).random((1, 16, 16, 3)))
         np.testing.assert_array_equal(loaded.forward(x)[0].data,
                                       DcaModel.load(new).forward(x)[0].data)
+
+    def test_legacy_channels_entry_loads(self, tmp_path):
+        # the attention width, the backbone's last block
+        self.assert_legacy_entry_loads(tmp_path, "dca", "channels", 8)
+
+    def test_legacy_num_classes_entry_loads(self, tmp_path):
+        # the class count, len(CLASS_NAMES)
+        self.assert_legacy_entry_loads(tmp_path, "head", "num_classes", 2)
