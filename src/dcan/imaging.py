@@ -7,6 +7,7 @@ transform so hue is preserved for color inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,14 @@ class Image:
 
 
 LUMA_BINS = 256  # one histogram bin per 8-bit luma value
+PLAN_CACHE_SIZE = 4  # plans cached per plan function; a 128 px CLAHE plan is 0.85 MB
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, locked against writes: a cached plan is shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass
@@ -102,6 +111,8 @@ def read_ppm(data: bytes) -> Image:
     if len(payload) < need:
         raise ImageFormatError(f"truncated payload at byte {pos + len(payload)}: "
                                f"need {need} bytes, have {len(payload)}")
+    if len(data) > pos + need:
+        raise ImageFormatError(f"{len(data) - pos - need} trailing bytes at byte {pos + need}")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
     return Image(pixels.copy())
 
@@ -116,26 +127,37 @@ def write_ppm(img: Image) -> bytes:
 # bilinear resize, half-pixel centers
 
 
-def bilinear(values: np.ndarray, target: int) -> np.ndarray:
-    """Resample a real [h, w, ...] array to a float [target, target, ...] one.
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _bilinear_plan(h: int, w: int, target: int, channels: int) -> tuple[np.ndarray, ...]:
+    """The geometry of an [h, w, channels] -> [target, target, channels] resize,
+    as read-only arrays: the four [target, target * channels] flat gather
+    indices of the (y0, x0), (y0, x1), (y1, x0) and (y1, x1) source pixels,
+    the [target, 1] row weights wy and 1 - wy, and the [target * channels]
+    column weights wx and 1 - wx.
 
     Source coordinates are clamped to the pixel grid before the floor, so a
     border pixel is reproduced exactly rather than blended with itself.
     """
-    h, w = values.shape[:2]
     ys = np.clip((np.arange(target) + 0.5) * (h / target) - 0.5, 0, h - 1)
     xs = np.clip((np.arange(target) + 0.5) * (w / target) - 0.5, 0, w - 1)
     y0 = np.floor(ys).astype(int)
     x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    # weights broadcast over any trailing channel axes
-    wy = (ys - y0).reshape(-1, *[1] * (values.ndim - 1))
-    wx = (xs - x0).reshape(-1, *[1] * (values.ndim - 2))
-    rows0, rows1 = values[y0], values[y1]
-    top = rows0[:, x0] * (1 - wx) + rows0[:, x1] * wx
-    bot = rows1[:, x0] * (1 - wx) + rows1[:, x1] * wx
-    return top * (1 - wy) + bot * wy
+    wy, wx = ys - y0, xs - x0
+    rows = [(y * (w * channels))[:, None] for y in (y0, np.minimum(y0 + 1, h - 1))]
+    cols = [(x[:, None] * channels + np.arange(channels)).ravel()
+            for x in (x0, np.minimum(x0 + 1, w - 1))]
+    return _read_only(*(r + c for r in rows for c in cols), wy[:, None], (1 - wy)[:, None],
+                      np.repeat(wx, channels), np.repeat(1 - wx, channels))
+
+
+def bilinear(values: np.ndarray, target: int) -> np.ndarray:
+    """Resample a real [h, w, ...] array to a float [target, target, ...] one."""
+    h, w = values.shape[:2]
+    i00, i01, i10, i11, wy, vy, wx, vx = _bilinear_plan(h, w, target, values.size // (h * w))
+    flat = values.reshape(-1)
+    top = flat.take(i00) * vx + flat.take(i01) * wx
+    bot = flat.take(i10) * vx + flat.take(i11) * wx
+    return (top * vy + bot * wy).reshape(target, target, *values.shape[2:])
 
 
 def resize_bilinear(img: Image, target: int) -> Image:
@@ -192,30 +214,27 @@ def _tile_edges(extent: int, tiles: int) -> np.ndarray:
     return np.rint(np.linspace(0, extent, tiles + 1)).astype(int)
 
 
-def clahe(img: Image, config: ClaheConfig) -> Image:
-    if img.width < config.tiles or img.height < config.tiles:
-        raise ValueError(f"tile grid {config.tiles}x{config.tiles} larger than "
-                         f"{img.width}x{img.height} image")
-    if img.channels == 3:
-        luma, cb, cr = rgb_to_ycbcr(img.pixels)
-    else:
-        luma = img.pixels[..., 0].astype(np.int32)
-
-    # every tile's histogram from one bincount over (tile id, luma) keys
-    t, bins = config.tiles, LUMA_BINS
-    ye = _tile_edges(img.height, t)
-    xe = _tile_edges(img.width, t)
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _clahe_plan(height: int, width: int, tiles: int) -> tuple[np.ndarray, ...]:
+    """Everything CLAHE does that depends only on the image geometry, as
+    read-only arrays: the [H, W] (tile, luma) key base of each pixel, the
+    [t, t, 1] pixel count of each tile, then the four [H, W] blend weights and
+    the four [H, W] flat LUT base indices of the surrounding tile mappings, in
+    the order (top, left), (top, right), (bottom, left), (bottom, right)."""
+    t, bins = tiles, LUMA_BINS
+    index = np.int32 if t * t * bins <= np.iinfo(np.int32).max else np.int64
+    ye = _tile_edges(height, t)
+    xe = _tile_edges(width, t)
     ty = np.repeat(np.arange(t), np.diff(ye))
     tx = np.repeat(np.arange(t), np.diff(xe))
-    keys = (ty * (t * bins))[:, None] + tx * bins + luma
-    hist = np.bincount(keys.ravel(), minlength=t * t * bins).reshape(t, t, bins)
-    luts = _equalize(hist, np.outer(np.diff(ye), np.diff(xe))[..., None], config)
+    keys = ((ty * (t * bins))[:, None] + tx * bins).astype(index)
+    counts = np.outer(np.diff(ye), np.diff(xe))[..., None]
     cy = (ye[:-1] + ye[1:] - 1) / 2.0
     cx = (xe[:-1] + xe[1:] - 1) / 2.0
 
     # bilinear blend of the four surrounding tile mappings, clamped at borders
-    yy = np.arange(img.height, dtype=np.float64)
-    xx = np.arange(img.width, dtype=np.float64)
+    yy = np.arange(height, dtype=np.float64)
+    xx = np.arange(width, dtype=np.float64)
     iy0 = np.clip(np.searchsorted(cy, yy, side="right") - 1, 0, t - 1)
     ix0 = np.clip(np.searchsorted(cx, xx, side="right") - 1, 0, t - 1)
     iy1 = np.minimum(iy0 + 1, t - 1)
@@ -225,15 +244,31 @@ def clahe(img: Image, config: ClaheConfig) -> Image:
         wx = np.where(ix1 > ix0, (xx - cx[ix0]) / (cx[ix1] - cx[ix0]), 0.0)
     wy = np.clip(wy, 0.0, 1.0)[:, None]
     wx = np.clip(wx, 0.0, 1.0)[None, :]
+    weights = ((1 - wy) * (1 - wx), (1 - wy) * wx, wy * (1 - wx), wy * wx)
+    # entry (i, j, v) of the flat LUT table sits at i*t*bins + j*bins + v
+    rows = [(i * (t * bins))[:, None] for i in (iy0, iy1)]
+    cols = [j * bins for j in (ix0, ix1)]
+    bases = [(r + c).astype(index) for r in rows for c in cols]
+    return _read_only(keys, counts, *weights, *bases)
 
-    # gathers from the flat table, where entry (i, j, v) sits at i*t*bins + j*bins + v
-    luts = luts.reshape(-1)
-    a = (iy0 * (t * bins))[:, None]
-    b = (iy1 * (t * bins))[:, None]
-    c = ix0 * bins + luma
-    d = ix1 * bins + luma
-    blended = ((1 - wy) * (1 - wx) * luts[a + c] + (1 - wy) * wx * luts[a + d]
-               + wy * (1 - wx) * luts[b + c] + wy * wx * luts[b + d])
+
+def clahe(img: Image, config: ClaheConfig) -> Image:
+    if img.width < config.tiles or img.height < config.tiles:
+        raise ValueError(f"tile grid {config.tiles}x{config.tiles} larger than "
+                         f"{img.width}x{img.height} image")
+    if img.channels == 3:
+        luma, cb, cr = rgb_to_ycbcr(img.pixels)
+    else:
+        luma = img.pixels[..., 0].astype(np.int32)
+    keys, counts, w00, w01, w10, w11, i00, i01, i10, i11 = _clahe_plan(
+        img.height, img.width, config.tiles)
+
+    # every tile's histogram from one bincount over (tile id, luma) keys
+    t, bins = config.tiles, LUMA_BINS
+    hist = np.bincount((keys + luma).ravel(), minlength=t * t * bins).reshape(t, t, bins)
+    luts = _equalize(hist, counts, config).reshape(-1)
+    blended = (w00 * luts.take(i00 + luma) + w01 * luts.take(i01 + luma)
+               + w10 * luts.take(i10 + luma) + w11 * luts.take(i11 + luma))
     eq = np.clip(np.rint(blended), 0, 255).astype(np.int32)
 
     if img.channels == 3:

@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from dcan.imaging import (LUMA_BINS, ClaheConfig, Image, ImageFormatError, clahe, read_ppm,
+from dcan.imaging import (LUMA_BINS, PLAN_CACHE_SIZE, ClaheConfig, Image, ImageFormatError,
+                          _bilinear_plan, _clahe_plan, bilinear, clahe, read_ppm,
                           resize_bilinear, rgb_to_ycbcr, write_ppm, ycbcr_to_rgb)
 
 
@@ -76,6 +77,24 @@ class TestPpmIo:
         with pytest.raises(ImageFormatError, match="byte"):
             read_ppm(b"P6\n2 2\n255\n\xff\x00")
 
+    def test_trailing_bytes_report_count_and_offset(self):
+        with pytest.raises(ImageFormatError, match="2 trailing bytes at byte 14"):
+            read_ppm(b"P5\n1 3\n255\n\x01\x02\x03\x04\x05")
+
+    def test_header_bit_flips_raise_or_load_the_same_image(self):
+        # a flip that shrinks the width or height must not load a smaller, shifted image
+        header = b"P6\n5 7\n255\n"
+        raw = header + bytes(range(5 * 7 * 3))
+        original = read_ppm(raw).pixels
+        for bit in range(8 * len(header)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            try:
+                pixels = read_ppm(bytes(flipped)).pixels
+            except ImageFormatError:
+                continue
+            assert np.array_equal(pixels, original), (bit, bytes(flipped[:len(header)]))
+
 
 class TestResize:
     def test_same_size_near_identity(self):
@@ -112,6 +131,56 @@ class TestResize:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             resize_bilinear(random_image(np.random.default_rng(3), 4, 4), 0)
+
+
+def bilinear_loop_reference(values, target):
+    """`bilinear` one output pixel at a time, with the same clamped half-pixel
+    source coordinates and the same products and sums in the same order."""
+    h, w = values.shape[:2]
+    out = np.empty((target, target, *values.shape[2:]))
+    for i in range(target):
+        sy = min(max((i + 0.5) * (h / target) - 0.5, 0), h - 1)
+        y0 = int(np.floor(sy))
+        y1, fy = min(y0 + 1, h - 1), sy - y0
+        for j in range(target):
+            sx = min(max((j + 0.5) * (w / target) - 0.5, 0), w - 1)
+            x0 = int(np.floor(sx))
+            x1, fx = min(x0 + 1, w - 1), sx - x0
+            top = values[y0, x0] * (1 - fx) + values[y0, x1] * fx
+            bot = values[y1, x0] * (1 - fx) + values[y1, x1] * fx
+            out[i, j] = top * (1 - fy) + bot * fy
+    return out
+
+
+def plan_arrays_are_read_only(plan):
+    for array in plan:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+
+
+def test_bilinear_bitwise_matches_loop_reference():
+    rng = np.random.default_rng(11)
+    cases = [((128, 128, 3), 64), ((8, 8), 64), ((8, 8, 3), 64), ((64, 64, 1), 64),
+             ((37, 90, 3), 50), ((90, 37), 21), ((1, 5, 1), 6), ((3, 2), 1)]
+    cases += [((int(h), int(w), *c), int(t)) for h, w, t, c in zip(
+        rng.integers(1, 141, 6), rng.integers(1, 141, 6), rng.integers(1, 65, 6),
+        [(), (1,), (3,)] * 2)]
+    for shape, target in cases + cases[::-1]:  # the revisits hit and miss cached plans
+        values = (rng.integers(0, 256, shape, dtype=np.uint8) if len(shape) == 3
+                  else rng.random(shape))
+        out = bilinear(values, target)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, bilinear_loop_reference(values, target)), (shape, target)
+
+
+def test_bilinear_plans_are_bounded_and_read_only():
+    _bilinear_plan.cache_clear()
+    for size in range(1, PLAN_CACHE_SIZE + 3):
+        bilinear(np.zeros((size, size)), 4)
+    bilinear(np.zeros((size, size)), 4)
+    info = _bilinear_plan.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, PLAN_CACHE_SIZE + 2, PLAN_CACHE_SIZE)
+    plan_arrays_are_read_only(_bilinear_plan(size, size, 4, 1))
 
 
 def global_he_oracle(luma):
@@ -248,3 +317,21 @@ def test_clahe_bitwise_matches_loop_reference():
                              clip_limit=float(rng.choice([1.0, 2.0, rng.uniform(1, 6)])))
         assert np.array_equal(clahe(img, config).pixels, clahe_loop_reference(img, config)), \
             (w, h, channels, config)
+
+    # cached geometry plans: new pixels on a cached geometry (hits), then more
+    # geometries than the cache holds, interleaved (every revisit is a miss)
+    geometries = [(128, 128, 8), (64, 64, 8), (33, 47, 3), (47, 33, 1), (8, 140, 8), (140, 9, 2)]
+    assert len(geometries) > PLAN_CACHE_SIZE
+    _clahe_plan.cache_clear()
+    for trial in range(3 * len(geometries)):
+        h, w, tiles = geometries[trial % len(geometries)]
+        for channels in (1, 3):
+            img = random_image(rng, w, h, channels)
+            config = ClaheConfig(tiles=tiles, clip_limit=float(rng.uniform(1, 6)))
+            assert np.array_equal(clahe(img, config).pixels, clahe_loop_reference(img, config)), \
+                (w, h, channels, config)
+    after = _clahe_plan.cache_info()
+    assert after.misses == 3 * len(geometries)
+    assert after.hits == 3 * len(geometries)  # the second channel count
+    assert after.currsize == PLAN_CACHE_SIZE
+    plan_arrays_are_read_only(_clahe_plan(h, w, tiles))
