@@ -43,7 +43,7 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = g + 0.0  # a new array, never the caller's; bitwise 0.0 + g
+            self.grad = g  # kept as handed over: an op passes an array that nothing else holds
         else:
             self.grad += g
 
@@ -281,9 +281,9 @@ def elementwise(op: str, a: Tensor, b: Tensor) -> Tensor:
 
         def bwd(g):
             if a.requires_grad:
-                a.accumulate_grad(g)
+                a.accumulate_grad(g.copy())
             if b.requires_grad:
-                b.accumulate_grad(g)
+                b.accumulate_grad(g.copy())
     else:
         raise ValueError(f"unknown elementwise op {op!r}")
     return _record(out, (a, b), bwd)
@@ -297,7 +297,7 @@ def global_average_pool(x: Tensor) -> Tensor:
     out = Tensor(x.data.mean(axis=(1, 2)))
 
     def bwd(g):
-        x.accumulate_grad(np.broadcast_to(g[:, None, None, :] / (h * w), x.shape))
+        x.accumulate_grad(np.broadcast_to(g[:, None, None, :] / (h * w), x.shape).copy())
 
     return _record(out, (x,), bwd)
 
@@ -311,7 +311,7 @@ def dropout(x: Tensor, rate: float, training: bool,
         out = Tensor(x.data)
 
         def bwd(g):
-            x.accumulate_grad(g)
+            x.accumulate_grad(g.copy())
 
         return _record(out, (x,), bwd)
     if rng is None:

@@ -14,7 +14,7 @@ import numpy as np
 from .attention import DcaConfig
 from .autograd import Tensor, grad_check
 from .data import CLASS_NAMES, generate_synthetic, load_dataset
-from .imaging import read_ppm, resize_bilinear, clahe
+from .imaging import load_ppm, resize_bilinear, clahe
 from .metrics import METRIC_NAMES, EvalReport
 from .model import BackboneConfig, DcaModel, HeadConfig
 from .optim import cross_entropy
@@ -99,7 +99,7 @@ def cmd_ablate(config: RunConfig, threads: int) -> None:
 def cmd_explain(config: RunConfig, checkpoint: str, image_path: str) -> None:
     model = DcaModel.load(checkpoint)
     size = model.backbone.input_size
-    base = resize_bilinear(clahe(read_ppm(Path(image_path).read_bytes()), config.clahe), size)
+    base = resize_bilinear(clahe(load_ppm(image_path), config.clahe), size)
     x = Tensor(preprocess_sample(image_path, config.clahe, size)[None, ...])
     probs, maps, saliency = gradcam_pp(model, x)
     target = int(probs.argmax())

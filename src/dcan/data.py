@@ -9,6 +9,7 @@ pure function of the config (seeded PCG64).
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,7 @@ ABNORMAL_FRACTION = 0.5
 BLOB_RADIUS_RANGE = (0.08, 0.25)  # blob semi-axes, as fractions of the image side
 HIGHLIGHT_COUNT_RANGE = (0, 4)  # specular highlights per image, inclusive
 NOISE_STD = 0.02  # per-pixel Gaussian noise, as a fraction of 255
+BBOX_COLUMNS = ("x0", "y0", "x1", "y1")  # manifest.csv columns of an abnormal image's bbox
 
 
 def check_floors(config, floors) -> None:
@@ -114,11 +116,35 @@ def generate_synthetic(config: SyntheticConfig, out_dir) -> list[Sample]:
 
     with open(out / "manifest.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["path", "label", "x0", "y0", "x1", "y1"])
+        writer.writerow(["path", "label", *BBOX_COLUMNS])
         for smp in samples:
             box = smp.bbox if smp.bbox else ("", "", "", "")
             writer.writerow([Path(smp.path).relative_to(out).as_posix(), smp.label, *box])
     return samples
+
+
+def _manifest_boxes(manifest: Path) -> dict[str, tuple[int, int, int, int]]:
+    """Bounding box per relative image path; a malformed manifest raises one
+    ValueError naming the manifest and the line."""
+    raw = manifest.read_bytes()
+    try:
+        reader = csv.DictReader(io.StringIO(raw.decode("utf-8"), newline=""))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{manifest}, line {line}: not UTF-8 text") from None
+    missing = [k for k in ("path", *BBOX_COLUMNS) if k not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{manifest}, line 1: header lacks column(s) {', '.join(missing)}")
+    boxes = {}
+    for row in reader:
+        cells = [row[k] for k in BBOX_COLUMNS]
+        if cells[0]:
+            try:
+                boxes[row["path"]] = tuple(int(c) for c in cells)
+            except (TypeError, ValueError):  # a short row fills its missing cells with None
+                raise ValueError(f"{manifest}, line {reader.line_num}: bbox cells "
+                                 f"{cells} are not all integers") from None
+    return boxes
 
 
 def load_dataset(root_dir) -> list[Sample]:
@@ -126,14 +152,8 @@ def load_dataset(root_dir) -> list[Sample]:
     root = Path(root_dir)
     if not root.is_dir():
         raise FileNotFoundError(f"dataset root {root} does not exist")
-    boxes = {}
     manifest = root / "manifest.csv"
-    if manifest.exists():
-        with open(manifest, newline="") as fh:
-            for row in csv.DictReader(fh):
-                if row["x0"]:
-                    boxes[row["path"]] = tuple(int(row[k]) for k in ("x0", "y0", "x1", "y1"))
-
+    boxes = _manifest_boxes(manifest) if manifest.exists() else {}
     samples = []
     for sub in sorted(p for p in root.iterdir() if p.is_dir()):
         if sub.name not in CLASS_NAMES:

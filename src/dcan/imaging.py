@@ -8,7 +8,9 @@ transform so hue is preserved for color inputs.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -117,6 +119,14 @@ def read_ppm(data: bytes) -> Image:
     return Image(pixels.copy())
 
 
+def load_ppm(path) -> Image:
+    """read_ppm of the file at `path`; a malformed file's error starts with the path."""
+    try:
+        return read_ppm(Path(path).read_bytes())
+    except ImageFormatError as exc:
+        raise ImageFormatError(f"{path}: {exc}") from None
+
+
 def write_ppm(img: Image) -> bytes:
     magic = b"P6" if img.channels == 3 else b"P5"
     header = b"%s\n%d %d\n255\n" % (magic, img.width, img.height)
@@ -150,22 +160,31 @@ def _bilinear_plan(h: int, w: int, target: int, channels: int) -> tuple[np.ndarr
                       np.repeat(wx, channels), np.repeat(1 - wx, channels))
 
 
+def bilinear_stack(values: np.ndarray, target: int) -> np.ndarray:
+    """Resample each real [h, w, ...] array of a [B, h, w, ...] stack to a float
+    [target, target, ...] one; every output element is its image's own blend."""
+    if target < 1:
+        raise ValueError("target size must be >= 1")
+    b, h, w = values.shape[:3]
+    i00, i01, i10, i11, wy, vy, wx, vx = _bilinear_plan(h, w, target, math.prod(values.shape[3:]))
+    flat = values.reshape(b, -1)
+    top = flat.take(i00, axis=1) * vx + flat.take(i01, axis=1) * wx
+    bot = flat.take(i10, axis=1) * vx + flat.take(i11, axis=1) * wx
+    return (top * vy + bot * wy).reshape(b, target, target, *values.shape[3:])
+
+
 def bilinear(values: np.ndarray, target: int) -> np.ndarray:
     """Resample a real [h, w, ...] array to a float [target, target, ...] one."""
-    h, w = values.shape[:2]
-    i00, i01, i10, i11, wy, vy, wx, vx = _bilinear_plan(h, w, target, values.size // (h * w))
-    flat = values.reshape(-1)
-    top = flat.take(i00) * vx + flat.take(i01) * wx
-    bot = flat.take(i10) * vx + flat.take(i11) * wx
-    return (top * vy + bot * wy).reshape(target, target, *values.shape[2:])
+    return bilinear_stack(values[None], target)[0]
+
+
+def to_uint8(values: np.ndarray) -> np.ndarray:
+    """Real pixel values rounded to the nearest 8-bit level."""
+    return np.clip(np.rint(values), 0, 255).astype(np.uint8)
 
 
 def resize_bilinear(img: Image, target: int) -> Image:
-    if target < 1:
-        raise ValueError("target size must be >= 1")
-    out = bilinear(img.pixels, target)  # gathers uint8, blends in float64
-    pixels = np.clip(np.rint(out), 0, 255).astype(np.uint8)
-    return Image(pixels)
+    return Image(to_uint8(bilinear(img.pixels, target)))  # gathers uint8, blends in float64
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +233,11 @@ def _tile_edges(extent: int, tiles: int) -> np.ndarray:
     return np.rint(np.linspace(0, extent, tiles + 1)).astype(int)
 
 
+def _key_dtype(images: int, tiles: int) -> type:
+    """The index dtype that holds every (image, tile, luma) LUT key of `images` images."""
+    return np.int32 if images * tiles * tiles * LUMA_BINS <= np.iinfo(np.int32).max else np.int64
+
+
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _clahe_plan(height: int, width: int, tiles: int) -> tuple[np.ndarray, ...]:
     """Everything CLAHE does that depends only on the image geometry, as
@@ -222,7 +246,7 @@ def _clahe_plan(height: int, width: int, tiles: int) -> tuple[np.ndarray, ...]:
     the four [H, W] flat LUT base indices of the surrounding tile mappings, in
     the order (top, left), (top, right), (bottom, left), (bottom, right)."""
     t, bins = tiles, LUMA_BINS
-    index = np.int32 if t * t * bins <= np.iinfo(np.int32).max else np.int64
+    index = _key_dtype(1, t)
     ye = _tile_edges(height, t)
     xe = _tile_edges(width, t)
     ty = np.repeat(np.arange(t), np.diff(ye))
@@ -252,27 +276,33 @@ def _clahe_plan(height: int, width: int, tiles: int) -> tuple[np.ndarray, ...]:
     return _read_only(keys, counts, *weights, *bases)
 
 
-def clahe(img: Image, config: ClaheConfig) -> Image:
-    if img.width < config.tiles or img.height < config.tiles:
-        raise ValueError(f"tile grid {config.tiles}x{config.tiles} larger than "
-                         f"{img.width}x{img.height} image")
-    if img.channels == 3:
-        luma, cb, cr = rgb_to_ycbcr(img.pixels)
-    else:
-        luma = img.pixels[..., 0].astype(np.int32)
-    keys, counts, w00, w01, w10, w11, i00, i01, i10, i11 = _clahe_plan(
-        img.height, img.width, config.tiles)
-
-    # every tile's histogram from one bincount over (tile id, luma) keys
+def clahe_stack(pixels: np.ndarray, config: ClaheConfig) -> np.ndarray:
+    """CLAHE of each uint8 [H, W, 1|3] image of a [B, H, W, C] stack. Image b
+    reads only its own LUTs, through keys offset by b * t * t * LUMA_BINS, so
+    its output is bit for bit the one it gets when equalized alone."""
+    b, height, width, channels = pixels.shape
     t, bins = config.tiles, LUMA_BINS
-    hist = np.bincount((keys + luma).ravel(), minlength=t * t * bins).reshape(t, t, bins)
+    if width < t or height < t:
+        raise ValueError(f"tile grid {t}x{t} larger than {width}x{height} image")
+    if channels == 3:
+        luma, cb, cr = rgb_to_ycbcr(pixels)
+    else:
+        luma = pixels[..., 0].astype(np.int32)
+    keys, counts, w00, w01, w10, w11, i00, i01, i10, i11 = _clahe_plan(height, width, t)
+    # image b's (tile, luma) keys and LUT indices start past the b earlier images' LUTs
+    own = luma + (np.arange(b, dtype=_key_dtype(b, t)) * (t * t * bins))[:, None, None]
+
+    # every tile's histogram of every image from one bincount over (image, tile, luma) keys
+    hist = np.bincount((keys + own).ravel(), minlength=b * t * t * bins).reshape(b, t, t, bins)
     luts = _equalize(hist, counts, config).reshape(-1)
-    blended = (w00 * luts.take(i00 + luma) + w01 * luts.take(i01 + luma)
-               + w10 * luts.take(i10 + luma) + w11 * luts.take(i11 + luma))
+    blended = (w00 * luts.take(i00 + own) + w01 * luts.take(i01 + own)
+               + w10 * luts.take(i10 + own) + w11 * luts.take(i11 + own))
     eq = np.clip(np.rint(blended), 0, 255).astype(np.int32)
 
-    if img.channels == 3:
-        pixels = ycbcr_to_rgb(eq, cb, cr)
-    else:
-        pixels = eq.astype(np.uint8)[..., None]
-    return Image(pixels)
+    if channels == 3:
+        return ycbcr_to_rgb(eq, cb, cr)
+    return eq.astype(np.uint8)[..., None]
+
+
+def clahe(img: Image, config: ClaheConfig) -> Image:
+    return Image(clahe_stack(img.pixels[None], config)[0])

@@ -357,6 +357,15 @@ class TestBackward:
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, np.full((1, 2, 2, 1), 0.5))
 
+    def test_fresh_first_gradient_is_kept_by_identity(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        first = np.array([3.0, 4.0])
+        x.accumulate_grad(first)
+        assert x.grad is first
+        x.accumulate_grad(np.array([0.5, 0.25]))
+        assert x.grad is first
+        np.testing.assert_array_equal(first, [3.5, 4.25])
+
     def test_rejects_nonscalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:

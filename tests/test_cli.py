@@ -135,6 +135,21 @@ class TestFailurePaths:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out" / "report.csv").exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_truncated_image_is_one_located_line(self, tmp_path, monkeypatch, capsys, threads):
+        cfg = dict(TINY, data_dir=str(tmp_path / "data"), output_dir=str(tmp_path / "out"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["gen", "--config", str(path)]) == 0
+        image = tmp_path / "data" / "normal" / "normal_00019.ppm"
+        image.write_bytes(image.read_bytes()[:-7])
+        monkeypatch.setenv("DCA_THREADS", threads)
+        capsys.readouterr()
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (f"error: ImageFormatError: {image}: truncated payload "
+                                           f"at byte 774: need 768 bytes, have 761\n")
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"learning_rate": 0.1}))

@@ -111,6 +111,25 @@ class TestLoader:
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope")
 
+    @pytest.mark.parametrize("line, text, message", [
+        (4, "abnormal/abnormal_00002.ppm,1,x,3,7,7",
+         "line 4: bbox cells ['x', '3', '7', '7'] are not all integers"),
+        (3, "abnormal/abnormal_00001.ppm,1,2,1",
+         "line 3: bbox cells ['2', '1', None, None] are not all integers"),
+        (1, "path,label,y0,x1,y1", "line 1: header lacks column(s) x0"),
+        (1, "file,label,x0,y0,x1", "line 1: header lacks column(s) path, y1"),
+        (2, "abnormal/abnormal_\udcff0000.ppm,1,2,2,6,6", "line 2: not UTF-8 text"),
+    ], ids=["non_integer_cell", "short_row", "no_x0", "no_path_or_y1", "not_utf8"])
+    def test_malformed_manifest_names_the_file_and_line(self, tmp_path, line, text, message):
+        generate_synthetic(SyntheticConfig(count=6, size=8, seed=2), tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[line - 1] = text
+        manifest.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+        with pytest.raises(ValueError) as info:
+            load_dataset(tmp_path)
+        assert str(info.value) == f"{manifest}, {message}"
+
 
 def round_robin_reference(labels, k, seed):
     """The fold deal written as a plain loop: each class in label order is

@@ -3,9 +3,11 @@ import re
 import numpy as np
 import pytest
 
+from dcan import imaging
 from dcan.imaging import (LUMA_BINS, PLAN_CACHE_SIZE, ClaheConfig, Image, ImageFormatError,
-                          _bilinear_plan, _clahe_plan, bilinear, clahe, read_ppm,
-                          resize_bilinear, rgb_to_ycbcr, write_ppm, ycbcr_to_rgb)
+                          _bilinear_plan, _clahe_plan, _key_dtype, bilinear, bilinear_stack,
+                          clahe, clahe_stack, load_ppm, read_ppm, resize_bilinear,
+                          rgb_to_ycbcr, write_ppm, ycbcr_to_rgb)
 
 
 def random_image(rng, w, h, channels=3):
@@ -94,6 +96,15 @@ class TestPpmIo:
             except ImageFormatError:
                 continue
             assert np.array_equal(pixels, original), (bit, bytes(flipped[:len(header)]))
+
+    def test_load_ppm_error_names_the_file_and_keeps_the_offset(self, tmp_path):
+        path = tmp_path / "cut.ppm"
+        path.write_bytes(b"P6\n2 2\n255\n" + bytes(10))
+        with pytest.raises(ImageFormatError) as info:
+            load_ppm(path)
+        assert str(info.value) == f"{path}: truncated payload at byte 21: need 12 bytes, have 10"
+        path.write_bytes(b"P5\n1 1\n255\n\x07")
+        assert load_ppm(path).pixels.item() == 7
 
 
 class TestResize:
@@ -335,3 +346,52 @@ def test_clahe_bitwise_matches_loop_reference():
     assert after.hits == 3 * len(geometries)  # the second channel count
     assert after.currsize == PLAN_CACHE_SIZE
     plan_arrays_are_read_only(_clahe_plan(h, w, tiles))
+
+
+@pytest.mark.parametrize("images", [1, 2, 5])
+def test_bilinear_stack_matches_each_image_alone(images):
+    rng = np.random.default_rng(12)
+    for shape, target in [((9, 13, 3), 6), ((16, 16, 1), 32), ((7, 5), 11), ((12, 12, 2), 12)]:
+        stack = (rng.integers(0, 256, (images, *shape), dtype=np.uint8) if len(shape) == 3
+                 else rng.random((images, *shape)))  # 2-D float maps
+        out = bilinear_stack(stack, target)
+        assert out.shape == (images, target, target, *shape[2:])
+        for b in range(images):
+            assert np.array_equal(out[b], bilinear(stack[b], target)), (shape, target, b)
+            assert np.array_equal(out[b], bilinear_loop_reference(stack[b], target))
+
+
+@pytest.mark.parametrize("images", [1, 2, 5])
+def test_clahe_stack_matches_each_image_alone(images):
+    rng = np.random.default_rng(13)
+    for channels in (1, 3):
+        for (h, w), tiles, clip_limit in [((16, 16), 1, 1.0), ((33, 47), 3, 2.0),
+                                          ((64, 40), 8, 3.7), ((9, 9), 2, 1e12)]:
+            stack = rng.integers(0, 256, (images, h, w, channels), dtype=np.uint8)
+            stack[0, : h // 2] = 90  # a flat region clips its histograms
+            config = ClaheConfig(tiles=tiles, clip_limit=clip_limit)
+            out = clahe_stack(stack, config)
+            assert out.shape == stack.shape and out.dtype == np.uint8
+            for b in range(images):
+                alone = clahe(Image(stack[b]), config).pixels
+                assert np.array_equal(out[b], alone), (channels, h, w, config, b)
+                assert np.array_equal(alone, clahe_loop_reference(Image(stack[b]), config))
+
+
+def test_clahe_stack_keys_widen_to_int64_past_int32(monkeypatch):
+    per_image = 8 * 8 * LUMA_BINS
+    limit = np.iinfo(np.int32).max
+    assert _key_dtype(limit // per_image, 8) is np.int32
+    assert _key_dtype(limit // per_image + 1, 8) is np.int64
+    assert _key_dtype(1, 2896) is np.int32 and _key_dtype(1, 2897) is np.int64
+    # the int64 keys and plan indices give the same bits as the int32 ones
+    stack = np.random.default_rng(14).integers(0, 256, (3, 20, 24, 3), dtype=np.uint8)
+    config = ClaheConfig(tiles=4)
+    narrow = clahe_stack(stack, config)
+    monkeypatch.setattr(imaging, "_key_dtype", lambda images, tiles: np.int64)
+    _clahe_plan.cache_clear()
+    try:
+        assert _clahe_plan(20, 24, 4)[0].dtype == np.int64
+        assert np.array_equal(clahe_stack(stack, config), narrow)
+    finally:
+        _clahe_plan.cache_clear()

@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcan.data import SyntheticConfig, generate_synthetic, load_dataset
-from dcan.imaging import ClaheConfig
+from dcan.data import Sample, SyntheticConfig, generate_synthetic, load_dataset
+from dcan.imaging import ClaheConfig, Image, ImageFormatError, write_ppm
 from dcan.metrics import metrics
 from dcan.model import BackboneConfig, HeadConfig, parse_config
 from dcan.autograd import Tensor
-from dcan.train import (RunConfig, _require_finite, load_arrays, predict_proba,
-                        run_cross_validation, train_model)
+from dcan.train import (STACK_IMAGES, RunConfig, _require_finite, load_arrays, predict_proba,
+                        preprocess_sample, run_cross_validation, train_model)
 
 
 def tiny_config(data_dir="data", out_dir="out"):
@@ -126,6 +126,38 @@ class TestPipeline:
         x2, y2 = load_arrays(samples, cfg.clahe, cfg.backbone.input_size, threads=2)
         assert np.array_equal(x1, x2)
         assert y1.tolist() == y2.tolist() == [s.label for s in samples]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_load_arrays_equals_preprocess_sample_per_image(self, tmp_path, threads):
+        # 2 chunks and a part; the first chunk mixes two RGB geometries and a gray P5 file
+        rng = np.random.default_rng(21)
+        shapes = [(24, 24, 3)] * (2 * STACK_IMAGES + 3)
+        shapes[1], shapes[3], shapes[STACK_IMAGES + 1] = (17, 30, 3), (24, 24, 1), (17, 30, 3)
+        samples = []
+        for i, shape in enumerate(shapes):
+            path = tmp_path / f"{i:03d}.ppm"
+            path.write_bytes(write_ppm(Image(rng.integers(0, 256, shape, dtype=np.uint8))))
+            samples.append(Sample(path=str(path), label=i % 2))
+        assert len(samples) % STACK_IMAGES != 0
+        cfg = ClaheConfig(tiles=3, clip_limit=2.5)
+        x, y = load_arrays(samples, cfg, 20, threads)
+        expected = np.stack([preprocess_sample(s.path, cfg, 20) for s in samples])
+        assert x.shape == (len(samples), 20, 20, 3) and np.array_equal(x, expected)
+        assert y.tolist() == [s.label for s in samples]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_malformed_ppm_error_names_the_file(self, tmp_path, threads):
+        samples = [Sample(path=str(tmp_path / f"{i}.ppm"), label=0) for i in range(3)]
+        for s in samples:
+            Path(s.path).write_bytes(b"P6\n4 4\n255\n" + bytes(48))
+        Path(samples[1].path).write_bytes(b"P6\n4 4\n255\n" + bytes(41))
+        message = f"{samples[1].path}: truncated payload at byte 52: need 48 bytes, have 41"
+        with pytest.raises(ImageFormatError) as info:
+            load_arrays(samples, ClaheConfig(tiles=2), 8, threads)
+        assert str(info.value) == message
+        with pytest.raises(ImageFormatError) as info:
+            preprocess_sample(samples[1].path, ClaheConfig(tiles=2), 8)
+        assert str(info.value) == message
 
     def test_training_reduces_loss(self, corpus):
         root, cfg = corpus

@@ -1,6 +1,7 @@
 """Digest every output of a fixed end-to-end dcan run, for bit-for-bit comparisons.
 
 Usage: python3 tools/output_digest.py <src_dir>
+       python3 tools/output_digest.py --compare <old_src_dir> <new_src_dir>
 
 Runs gen -> train -> eval -> ablate -> explain (abnormal_00000, normal_00063)
 -> gradcheck with the `dcan` package found in <src_dir>, in a fresh temporary
@@ -16,6 +17,10 @@ their digests:
     python3 tools/output_digest.py old/src > old.txt
     python3 tools/output_digest.py src > new.txt
     diff old.txt new.txt
+
+`--compare` digests both trees at DCA_THREADS=1 and at DCA_THREADS=2, prints
+each line that differs as `DCA_THREADS=<n> <path>: <old sha> -> <new sha>`
+and exits 1 on any difference, 0 when every line matches.
 """
 
 from __future__ import annotations
@@ -58,9 +63,15 @@ def _commands(tmp: Path) -> list[tuple[str, list[str]]]:
     return steps
 
 
-def digest(src_dir: Path) -> list[str]:
-    """`sha256  path` lines for every output of the fixed run, sorted by path."""
+COMPARED_THREADS = (1, 2)  # DCA_THREADS values of --compare
+
+
+def digest(src_dir: Path, threads: int | None = None) -> list[str]:
+    """`sha256  path` lines for every output of the fixed run, sorted by path;
+    DCA_THREADS is `threads` when given, else passed through."""
     env = dict(os.environ, PYTHONPATH=str(src_dir.resolve()))
+    if threads is not None:
+        env["DCA_THREADS"] = str(threads)
     lines = {}
     with tempfile.TemporaryDirectory(prefix="dcan_digest_") as name:
         tmp = Path(name)
@@ -81,14 +92,33 @@ def digest(src_dir: Path) -> list[str]:
     return [f"{sha}  {rel}" for rel, sha in sorted(lines.items())]
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1 or not (Path(argv[0]) / "dcan" / "__init__.py").is_file():
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        print("<src_dir> must hold the dcan package", file=sys.stderr)
-        return 2
-    print("\n".join(digest(Path(argv[0]))))
-    return 0
+def compare(old_src: Path, new_src: Path) -> int:
+    """Print the digest lines of the two trees that differ; 1 if any does."""
+    differ = 0
+    for threads in COMPARED_THREADS:
+        old, new = (dict(line.split("  ", 1)[::-1] for line in digest(src, threads))
+                    for src in (old_src, new_src))
+        for path in sorted(old.keys() | new.keys()):
+            if old.get(path) != new.get(path):
+                differ += 1
+                print(f"DCA_THREADS={threads} {path}: {old.get(path, '-')} -> {new.get(path, '-')}")
+        print(f"DCA_THREADS={threads}: {len(old.keys() | new.keys())} lines compared")
+    print(f"{differ} lines differ" if differ else "every line matches")
+    return 1 if differ else 0
 
+
+def main(argv: list[str]) -> int:
+    comparing = argv[:1] == ["--compare"]
+    trees = argv[1:] if comparing else argv
+    if (len(trees) != (2 if comparing else 1)
+            or not all((Path(t) / "dcan" / "__init__.py").is_file() for t in trees)):
+        print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
+        print("each source directory must hold the dcan package", file=sys.stderr)
+        return 2
+    if comparing:
+        return compare(Path(trees[0]), Path(trees[1]))
+    print("\n".join(digest(Path(trees[0]))))
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main(sys.argv[1:]))
