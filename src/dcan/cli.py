@@ -99,7 +99,11 @@ def cmd_ablate(config: RunConfig, threads: int) -> None:
 def cmd_explain(config: RunConfig, checkpoint: str, image_path: str) -> None:
     model = DcaModel.load(checkpoint)
     size = model.backbone.input_size
-    base = resize_bilinear(clahe(load_ppm(image_path), config.clahe), size)
+    image = load_ppm(image_path)
+    try:
+        base = resize_bilinear(clahe(image, config.clahe), size)
+    except ValueError as exc:  # the CLAHE tile grid does not fit the image
+        raise ValueError(f"{image_path}: {exc}") from None
     x = Tensor(preprocess_sample(image_path, config.clahe, size)[None, ...])
     probs, maps, saliency = gradcam_pp(model, x)
     target = int(probs.argmax())

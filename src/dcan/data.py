@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import Image, write_ppm
+from .imaging import Image, to_uint8, write_ppm
 
 CLASS_NAMES = ("normal", "abnormal")  # label 0, label 1
 ABNORMAL_FRACTION = 0.5
@@ -94,8 +94,7 @@ def _render_image(rng: np.random.Generator, config: SyntheticConfig,
         img = img + 230.0 * glow[..., None]
 
     img = img + rng.normal(0.0, NOISE_STD * 255.0, size=(s, s, 3))
-    pixels = np.clip(np.rint(img), 0, 255).astype(np.uint8)
-    return Image(pixels), bbox
+    return Image(to_uint8(img)), bbox
 
 
 def generate_synthetic(config: SyntheticConfig, out_dir) -> list[Sample]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tape, Tensor, backward, elementwise, softmax, tsum
-from .imaging import Image, bilinear, write_ppm
+from .imaging import Image, bilinear, to_uint8, write_ppm
 from .model import DcaModel
 
 
@@ -80,10 +80,9 @@ def export_heatmap(heatmap: np.ndarray, base_image: Image, out_path) -> None:
                          f"base image {base_image.width}x{base_image.height}")
     base = Path(out_path)
     stem = base.with_suffix("")
-    gray = np.clip(np.rint(heatmap * 255.0), 0, 255).astype(np.uint8)
-    Path(f"{stem}.pgm").write_bytes(write_ppm(Image(gray[..., None])))
+    Path(f"{stem}.pgm").write_bytes(write_ppm(Image(to_uint8(heatmap * 255.0)[..., None])))
 
     alpha = 0.5 * heatmap
-    out = base_image.rgb().astype(np.float64)
-    out[..., 0] = np.floor((1.0 - alpha) * out[..., 0] + alpha * 255.0)
-    Path(f"{stem}.ppm").write_bytes(write_ppm(Image(np.clip(out, 0, 255).astype(np.uint8))))
+    out = base_image.rgb().copy()
+    out[..., 0] = to_uint8(np.floor((1.0 - alpha) * out[..., 0] + alpha * 255.0))
+    Path(f"{stem}.ppm").write_bytes(write_ppm(Image(out)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -39,9 +40,12 @@ def _hints(cls) -> dict:
 
 
 def _conforms(value, hint) -> bool:
-    """Whether a parsed JSON value has the annotated type. An int passes for a
-    float, a bool only for a bool, and a list for a list or a tuple."""
-    if type(value) is hint or (hint is float and type(value) is int):
+    """Whether a parsed JSON value has the annotated type. A float, or an int
+    where a float is expected, must be a finite float64; a bool passes only for
+    a bool, and a list for a list or a tuple."""
+    if hint is float and type(value) in (int, float):
+        return abs(value) <= sys.float_info.max  # False for NaN, infinities and huge ints
+    if type(value) is hint:
         return True
     origin, args = get_origin(hint), get_args(hint)
     if origin is list:
@@ -71,6 +75,8 @@ def parse_config(cls, raw):
         section = is_dataclass(hints[key])
         hint = dict if section else hints[key]
         if not _conforms(value, hint):
+            if hint is float and type(value) in (int, float):
+                raise ValueError(f"'{key}' must be a finite number, got {value}")
             plain = get_origin(hint) is None
             raise ValueError(f"'{key}' must be {hint.__name__ if plain else hint}, "
                              f"got {type(value).__name__ if plain else repr(value)}")

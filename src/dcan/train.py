@@ -61,29 +61,28 @@ class RunConfig:
 STACK_IMAGES = 4
 
 
-def _unit_rgb(pixels: np.ndarray) -> np.ndarray:
-    """uint8 [..., 1|3] pixels as float [..., 3] in [0, 1]; gray is repeated into each channel."""
-    return (pixels if pixels.shape[-1] == 3 else np.repeat(pixels, 3, axis=-1)) / 255.0
-
-
 def preprocess_sample(path, clahe_cfg: ClaheConfig, input_size: int) -> np.ndarray:
     """PPM bytes -> CLAHE -> bilinear resize -> float [S,S,3] in [0,1]."""
-    img = clahe(load_ppm(path), clahe_cfg)
-    return _unit_rgb(resize_bilinear(img, input_size).pixels)
+    return resize_bilinear(clahe(load_ppm(path), clahe_cfg), input_size).rgb() / 255.0
 
 
 def _preprocess_chunk(samples: list[Sample], clahe_cfg: ClaheConfig,
                       input_size: int) -> np.ndarray:
     """preprocess_sample of each sample, as one [n, S, S, 3] array: the images
-    of each (height, width, channels) go through the stack kernels together."""
+    of each (height, width, channels) go through the stack kernels together, and
+    a gray result fills all three channels. An image the CLAHE tile grid does
+    not fit raises a ValueError naming the first sample of its geometry."""
     pixels = [load_ppm(s.path).pixels for s in samples]
     groups: dict[tuple, list[int]] = {}
     for i, px in enumerate(pixels):
         groups.setdefault(px.shape, []).append(i)
     x = np.empty((len(pixels), input_size, input_size, 3))
     for idx in groups.values():
-        stack = clahe_stack(np.stack([pixels[i] for i in idx]), clahe_cfg)
-        x[idx] = _unit_rgb(to_uint8(bilinear_stack(stack, input_size)))
+        try:
+            stack = clahe_stack(np.stack([pixels[i] for i in idx]), clahe_cfg)
+        except ValueError as exc:
+            raise ValueError(f"{samples[idx[0]].path}: {exc}") from None
+        x[idx] = to_uint8(bilinear_stack(stack, input_size)) / 255.0
     return x
 
 

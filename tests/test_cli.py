@@ -118,6 +118,16 @@ class TestExplain:
                      "--image", str(image), "--out", str(root / "explain_once")]) == 0
         assert calls == {"forward": 1, "backbone_forward": 1}
 
+    def test_image_smaller_than_tile_grid_names_the_file(self, workspace, tmp_path, capsys):
+        root, config_path = workspace
+        image = tmp_path / "small.ppm"
+        image.write_bytes(b"P5\n1 3\n255\n" + bytes(3))
+        assert main(["explain", "--config", str(config_path),
+                     "--checkpoint", str(root / "out" / "fold_0.dcam"),
+                     "--image", str(image), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"error: ValueError: {image}: "
+                                           f"tile grid 2x2 larger than 1x3 image\n")
+
 
 class TestGradcheck:
     def test_passes(self, capsys):

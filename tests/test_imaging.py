@@ -3,15 +3,19 @@ import re
 import numpy as np
 import pytest
 
-from dcan import imaging
 from dcan.imaging import (LUMA_BINS, PLAN_CACHE_SIZE, ClaheConfig, Image, ImageFormatError,
-                          _bilinear_plan, _clahe_plan, _key_dtype, bilinear, bilinear_stack,
+                          _bilinear_plan, _clahe_plan, _equalize, bilinear, bilinear_stack,
                           clahe, clahe_stack, load_ppm, read_ppm, resize_bilinear,
-                          rgb_to_ycbcr, write_ppm, ycbcr_to_rgb)
+                          rgb_to_ycbcr, to_uint8, write_ppm, ycbcr_to_rgb)
 
 
 def random_image(rng, w, h, channels=3):
     return Image(rng.integers(0, 256, size=(h, w, channels), dtype=np.uint8))
+
+
+def tile_lut(values, config):
+    """The clipped-equalization transfer function of one tile's luma values."""
+    return _equalize(np.bincount(values.ravel(), minlength=LUMA_BINS), values.size, config)
 
 
 class TestImage:
@@ -194,6 +198,13 @@ def test_bilinear_plans_are_bounded_and_read_only():
     plan_arrays_are_read_only(_bilinear_plan(size, size, 4, 1))
 
 
+def test_to_uint8_rounds_halves_to_even_and_clips():
+    # the one rounding rule of resize, CLAHE, the corpus renderer and heatmap export
+    out = to_uint8(np.array([[0.5, 1.5, 2.5, 254.5], [-3.0, 300.0, 127.49, 127.51]]))
+    assert out.dtype == np.uint8
+    assert out.tolist() == [[0, 2, 2, 254], [0, 255, 127, 128]]
+
+
 def global_he_oracle(luma):
     """Plain global histogram equalization (bin-center CDF), loop-free oracle."""
     hist = np.bincount(luma.ravel(), minlength=256).astype(float)
@@ -235,11 +246,10 @@ class TestClahe:
         np.testing.assert_array_equal(a.pixels, b.pixels)
 
     def test_tile_mapping_monotone(self):
-        from dcan.imaging import _tile_lut
         rng = np.random.default_rng(7)
         for _ in range(100):
             values = rng.integers(0, 256, size=(16, 16))
-            lut = _tile_lut(values, ClaheConfig(clip_limit=float(rng.uniform(1, 6))))
+            lut = tile_lut(values, ClaheConfig(clip_limit=float(rng.uniform(1, 6))))
             assert np.all(np.diff(lut.astype(int)) >= 0)
 
     def test_output_stays_valid_uint8(self):
@@ -345,7 +355,10 @@ def test_clahe_bitwise_matches_loop_reference():
     assert after.misses == 3 * len(geometries)
     assert after.hits == 3 * len(geometries)  # the second channel count
     assert after.currsize == PLAN_CACHE_SIZE
-    plan_arrays_are_read_only(_clahe_plan(h, w, tiles))
+    plan = _clahe_plan(h, w, tiles)
+    plan_arrays_are_read_only(plan)
+    keys, bases = plan[0], plan[6:]
+    assert [a.dtype for a in (keys, *bases)] == [np.int64] * 5
 
 
 @pytest.mark.parametrize("images", [1, 2, 5])
@@ -376,22 +389,3 @@ def test_clahe_stack_matches_each_image_alone(images):
                 alone = clahe(Image(stack[b]), config).pixels
                 assert np.array_equal(out[b], alone), (channels, h, w, config, b)
                 assert np.array_equal(alone, clahe_loop_reference(Image(stack[b]), config))
-
-
-def test_clahe_stack_keys_widen_to_int64_past_int32(monkeypatch):
-    per_image = 8 * 8 * LUMA_BINS
-    limit = np.iinfo(np.int32).max
-    assert _key_dtype(limit // per_image, 8) is np.int32
-    assert _key_dtype(limit // per_image + 1, 8) is np.int64
-    assert _key_dtype(1, 2896) is np.int32 and _key_dtype(1, 2897) is np.int64
-    # the int64 keys and plan indices give the same bits as the int32 ones
-    stack = np.random.default_rng(14).integers(0, 256, (3, 20, 24, 3), dtype=np.uint8)
-    config = ClaheConfig(tiles=4)
-    narrow = clahe_stack(stack, config)
-    monkeypatch.setattr(imaging, "_key_dtype", lambda images, tiles: np.int64)
-    _clahe_plan.cache_clear()
-    try:
-        assert _clahe_plan(20, 24, 4)[0].dtype == np.int64
-        assert np.array_equal(clahe_stack(stack, config), narrow)
-    finally:
-        _clahe_plan.cache_clear()

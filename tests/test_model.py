@@ -235,11 +235,12 @@ class TestCheckpoint:
         lambda cfg: cfg["head"].update(num_classes=3),
         lambda cfg: cfg["head"].update(num_classes=2.0),
         lambda cfg: cfg["head"].update(num_classes=True),
+        lambda cfg: cfg["head"].update(dropout_rate=float("nan")),  # json.dumps writes NaN
     ], ids=["missing_section", "unknown_section", "missing_key", "unknown_key", "zero_stride",
             "float_stride", "int_unit_norm", "legacy_channels_mismatch", "legacy_channels_float",
             "missing_hidden_units",
             "section_not_object", "section_is_string", "legacy_num_classes_mismatch",
-            "legacy_num_classes_float", "legacy_num_classes_bool"])
+            "legacy_num_classes_float", "legacy_num_classes_bool", "nan_dropout_rate"])
     def test_bad_config_raises_located_error(self, tmp_path, mutate):
         model = small_model()
         cfg = model.config_dict()

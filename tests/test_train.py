@@ -81,6 +81,18 @@ class TestRunConfig:
          "bad entry in 'synthetic': 'count' must be >= 1, got 0"),
         ('{"synthetic": {"size": 3}}', "bad entry in 'synthetic': 'size' must be >= 4, got 3"),
         ('{"synthetic": {"seed": -1}}', "bad entry in 'synthetic': 'seed' must be >= 0, got -1"),
+        # Python's json reads NaN and Infinity; no config float may be either
+        ('{"clahe": {"clip_limit": NaN}}',
+         "bad entry in 'clahe': 'clip_limit' must be a finite number, got nan"),
+        ('{"adamw": {"eta": Infinity}}', "bad entry in 'adamw': 'eta' must be a finite number, got inf"),
+        ('{"adamw": {"weight_decay": NaN}}',
+         "bad entry in 'adamw': 'weight_decay' must be a finite number, got nan"),
+        ('{"adamw": {"epsilon": NaN}}',
+         "bad entry in 'adamw': 'epsilon' must be a finite number, got nan"),
+        ('{"clahe": {"clip_limit": 1e400}}',
+         "bad entry in 'clahe': 'clip_limit' must be a finite number, got inf"),
+        ('{"clahe": {"clip_limit": 1%s}}' % ("0" * 309),
+         "bad entry in 'clahe': 'clip_limit' must be a finite number, got 1%s" % ("0" * 309)),
     ])
     def test_malformed_entry_names_path_and_key(self, tmp_path, text, message):
         path = tmp_path / "run.json"
@@ -158,6 +170,18 @@ class TestPipeline:
         with pytest.raises(ImageFormatError) as info:
             preprocess_sample(samples[1].path, ClaheConfig(tiles=2), 8)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_image_smaller_than_tile_grid_names_the_file(self, tmp_path, threads):
+        # chunk 0 holds two 6x5 images; the error names the first of that geometry
+        samples = []
+        for i, (w, h) in enumerate([(8, 8), (6, 5), (8, 8), (6, 5), (8, 8)]):
+            path = tmp_path / f"{i}.ppm"
+            path.write_bytes(write_ppm(Image(np.full((h, w, 3), 40 * i, dtype=np.uint8))))
+            samples.append(Sample(path=str(path), label=i % 2))
+        with pytest.raises(ValueError) as info:
+            load_arrays(samples, ClaheConfig(tiles=8), 8, threads)
+        assert str(info.value) == f"{samples[1].path}: tile grid 8x8 larger than 6x5 image"
 
     def test_training_reduces_loss(self, corpus):
         root, cfg = corpus

@@ -8,11 +8,17 @@ Runs gen -> train -> eval -> ablate -> explain (abnormal_00000, normal_00063)
 directory, on a 64-image corpus trained for 2 epochs over 2 folds. Then it
 generates a 32-image corpus of 128 px images into data128/ and runs eval and
 explain (abnormal_00000) on it with fold_0.dcam into out128/, so the 128 -> 64
-px downsampling of larger frames is covered too. Prints one `sha256  path`
-line per output file and per command's stdout (with the temporary directory
-written as `<tmp>`). DCA_THREADS is passed through. Two
-source trees give identical outputs when `diff` finds no difference between
-their digests:
+px downsampling of larger frames is covered too. Last, it writes P5 (gray)
+copies of the first GRAY_PER_CLASS 64 px images of each class into
+data_gray/, from their green channel and named `.ppm` as `load_dataset`
+expects. It runs eval and explain (abnormal_00000) on them with fold_0.dcam,
+and a 1-epoch train whose checkpoints hold every bit of the preprocessed gray
+arrays, into out_gray/, so the gray paths of preprocessing are covered too.
+
+Prints one `sha256  path` line per output file and per command's stdout (with
+the temporary directory written as `<tmp>`). DCA_THREADS is passed through.
+Two source trees give identical outputs when `diff` finds no difference
+between their digests:
 
     python3 tools/output_digest.py old/src > old.txt
     python3 tools/output_digest.py src > new.txt
@@ -38,8 +44,10 @@ CONFIGS = {
     "run.json": ({"synthetic": {"count": 64, "size": 64, "seed": 0}, "epochs": 2, "k_folds": 2},
                  "data", "out"),
     "run128.json": ({"synthetic": {"count": 32, "size": 128, "seed": 0}}, "data128", "out128"),
+    "run_gray.json": ({"epochs": 1, "k_folds": 2}, "data_gray", "out_gray"),
 }
 EXPLAINED = ["abnormal/abnormal_00000.ppm", "normal/normal_00063.ppm"]
+GRAY_PER_CLASS = 5  # gray copies per class: 10 images span three preprocessing chunks
 
 
 def _explain(tmp: Path, label: str, config: list[str], checkpoint: list[str], data: str,
@@ -63,6 +71,27 @@ def _commands(tmp: Path) -> list[tuple[str, list[str]]]:
     return steps
 
 
+def _gray_commands(tmp: Path) -> list[tuple[str, list[str]]]:
+    config = ["--config", str(tmp / "run_gray.json")]
+    checkpoint = ["--checkpoint", str(tmp / "out" / "fold_0.dcam")]
+    return [("train_gray", ["train", *config]), ("eval_gray", ["eval", *config, *checkpoint]),
+            _explain(tmp, "explain_gray", config, checkpoint, "data_gray", "out_gray",
+                     EXPLAINED[0])]
+
+
+def _write_gray_copies(data: Path, gray: Path) -> None:
+    """P5 copies of the first GRAY_PER_CLASS P6 images of each class of `data`,
+    made of their green channel, at the same relative paths under `gray`."""
+    for class_dir in sorted(p for p in data.iterdir() if p.is_dir()):
+        (gray / class_dir.name).mkdir(parents=True)
+        for path in sorted(class_dir.glob("*.ppm"))[:GRAY_PER_CLASS]:
+            magic, size, maxval, payload = path.read_bytes().split(b"\n", 3)
+            if magic != b"P6" or maxval != b"255":
+                raise SystemExit(f"{path}: not a P6 header as `dcan gen` writes it")
+            (gray / class_dir.name / path.name).write_bytes(
+                b"P5\n%s\n255\n%s" % (size, payload[1::3]))
+
+
 COMPARED_THREADS = (1, 2)  # DCA_THREADS values of --compare
 
 
@@ -78,13 +107,20 @@ def digest(src_dir: Path, threads: int | None = None) -> list[str]:
         for config_name, (config, data, out) in CONFIGS.items():
             (tmp / config_name).write_text(json.dumps(dict(
                 config, data_dir=str(tmp / data), output_dir=str(tmp / out))))
-        for label, argv in _commands(tmp):
+
+        def run(label: str, argv: list[str]) -> None:
             proc = subprocess.run([sys.executable, "-m", "dcan.cli", *argv], env=env,
                                   cwd=tmp, capture_output=True, text=True)
             if proc.returncode != 0:
                 raise SystemExit(f"dcan {label} exited with {proc.returncode}:\n{proc.stderr}")
             stdout = proc.stdout.replace(str(tmp), "<tmp>").encode("utf-8")
             lines[f"stdout/{label}"] = hashlib.sha256(stdout).hexdigest()
+
+        for step in _commands(tmp):
+            run(*step)
+        _write_gray_copies(tmp / "data", tmp / "data_gray")
+        for step in _gray_commands(tmp):
+            run(*step)
         for path in sorted(tmp.rglob("*")):
             rel = path.relative_to(tmp).as_posix()
             if path.is_file() and rel not in CONFIGS:
