@@ -37,28 +37,25 @@ class DcaConfig:
             raise ValueError("at least one attention branch must be enabled")
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    """Zero-mean uniform draw bounded by 1/sqrt(fan_in)."""
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def layer_params(rng: np.random.Generator, shape: tuple[int, ...]) -> tuple[Tensor, Tensor]:
+    """A layer's trainable kernel of `shape` and bias of `shape[-1]` zeros. The
+    kernel is zero-mean uniform within 1/sqrt(fan_in), where the fan-in is what
+    one output channel reads: the product of every axis but the last."""
+    bound = 1.0 / np.sqrt(np.prod(shape[:-1]))
+    return (Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True),
+            Tensor(np.zeros(shape[-1]), requires_grad=True))
 
 
 def init_dca_params(config: DcaConfig, d: int, rng: np.random.Generator) -> dict[str, Tensor]:
-    """The enabled branches' `dca_*` parameters for a `d`-channel feature map:
-    zero-mean uniform kernels scaled by 1/sqrt(fan_in), zero biases."""
-    arrays = {}
-    if config.enable_spatial:
-        k = config.spatial_kernel
-        arrays["dca_spatial_w"] = uniform_init(rng, (k, k, d, d), k * k * d)
-        arrays["dca_spatial_b"] = np.zeros(d)
-    if config.enable_gated:
-        arrays["dca_gate_w"] = uniform_init(rng, (1, 1, d, d), d)
-        arrays["dca_gate_b"] = np.zeros(d)
-    if config.enable_refine:
-        k = config.refine_kernel
-        arrays["dca_refine_w"] = uniform_init(rng, (k, k, d, d), k * k * d)
-        arrays["dca_refine_b"] = np.zeros(d)
-    return {name: Tensor(a, requires_grad=True) for name, a in arrays.items()}
+    """The enabled branches' `dca_*` parameters for a `d`-channel feature map,
+    made by `layer_params` in the order spatial, gate, refine."""
+    params = {}
+    for enabled, name, k in ((config.enable_spatial, "spatial", config.spatial_kernel),
+                             (config.enable_gated, "gate", 1),
+                             (config.enable_refine, "refine", config.refine_kernel)):
+        if enabled:
+            params[f"dca_{name}_w"], params[f"dca_{name}_b"] = layer_params(rng, (k, k, d, d))
+    return params
 
 
 def spatial_branch(f: Tensor, params: dict[str, Tensor]) -> Tensor:

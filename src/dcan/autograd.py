@@ -249,7 +249,7 @@ def spatial_softmax(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-# unused by dcan; perfbench's tracer patches it by name until ROADMAP item 2 lands
+# unused by dcan; perfbench's tracer patches it by name until ROADMAP item 4 removes it
 def softmax_rows(x: Tensor) -> Tensor:
     """Row softmax on rank-2 input (class probabilities)."""
     if x.data.ndim != 2:

@@ -13,13 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tape, Tensor, backward, elementwise, softmax, tsum
-from .imaging import Image, bilinear, to_uint8, write_ppm
+from .imaging import Image, bilinear_stack, to_uint8, write_ppm
 from .model import DcaModel
 
 
-def _normalize(values: np.ndarray) -> np.ndarray:
-    peak = values.max()
-    return values / peak if peak > 0 else values
+def _heatmap(raw: np.ndarray, size: int) -> np.ndarray:
+    """A raw [h, w] map upscaled to [size, size], divided by its peak if that is > 0."""
+    up = bilinear_stack(raw[None], size)[0]
+    peak = up.max()
+    return up / peak if peak > 0 else up
 
 
 def gradcam_weights(activations: np.ndarray, gradients: np.ndarray) -> np.ndarray:
@@ -60,7 +62,7 @@ def gradcam_pp(model: DcaModel, image: Tensor) -> tuple[np.ndarray, dict[str, Te
 
     f_dca = maps["f_dca"]
     raw = gradcam_map(f_dca.data[0], f_dca.grad[0])
-    return probs, maps, _normalize(bilinear(raw, model.backbone.input_size))
+    return probs, maps, _heatmap(raw, model.backbone.input_size)
 
 
 def attention_heatmap(maps: dict[str, Tensor], name: str, size: int) -> np.ndarray:
@@ -68,7 +70,7 @@ def attention_heatmap(maps: dict[str, Tensor], name: str, size: int) -> np.ndarr
     if name not in maps:
         raise ValueError(f"attention map {name} absent (branch disabled)")
     raw = np.maximum(maps[name].data[0].mean(axis=2), 0.0)
-    return _normalize(bilinear(raw, size))
+    return _heatmap(raw, size)
 
 
 def export_heatmap(heatmap: np.ndarray, base_image: Image, out_path) -> None:

@@ -173,18 +173,13 @@ def bilinear_stack(values: np.ndarray, target: int) -> np.ndarray:
     return (top * vy + bot * wy).reshape(b, target, target, *values.shape[3:])
 
 
-def bilinear(values: np.ndarray, target: int) -> np.ndarray:
-    """Resample a real [h, w, ...] array to a float [target, target, ...] one."""
-    return bilinear_stack(values[None], target)[0]
-
-
 def to_uint8(values: np.ndarray) -> np.ndarray:
     """Real pixel values rounded to the nearest 8-bit level."""
     return np.clip(np.rint(values), 0, 255).astype(np.uint8)
 
 
 def resize_bilinear(img: Image, target: int) -> Image:
-    return Image(to_uint8(bilinear(img.pixels, target)))  # gathers uint8, blends in float64
+    return Image(to_uint8(bilinear_stack(img.pixels[None], target)[0]))  # blends uint8 in float64
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .attention import DcaConfig, dca_forward, init_dca_params, uniform_init
+from .attention import DcaConfig, dca_forward, init_dca_params, layer_params
 from .autograd import (ShapeError, Tensor, conv2d, dense, dropout, global_average_pool, relu,
                        softmax_rows)
 from .data import CLASS_NAMES, check_floors
@@ -151,17 +151,13 @@ class DcaModel:
         k = backbone.kernel
         cin = 3
         for i, (cout, _) in enumerate(backbone.blocks):
-            self.params[f"backbone{i}_w"] = Tensor(uniform_init(rng, (k, k, cin, cout), k * k * cin),
-                                                   requires_grad=True)
-            self.params[f"backbone{i}_b"] = Tensor(np.zeros(cout), requires_grad=True)
+            self.params[f"backbone{i}_w"], self.params[f"backbone{i}_b"] = layer_params(
+                rng, (k, k, cin, cout))
             cin = cout
         self.params.update(init_dca_params(dca, backbone.feature_channels, rng))
         d, units, classes = backbone.feature_channels, head.hidden_units, len(CLASS_NAMES)
-        for name, a in (("head_w1", uniform_init(rng, (d, units), d)),
-                        ("head_b1", np.zeros(units)),
-                        ("head_w2", uniform_init(rng, (units, classes), units)),
-                        ("head_b2", np.zeros(classes))):
-            self.params[name] = Tensor(a, requires_grad=True)
+        for i, shape in ((1, (d, units)), (2, (units, classes))):
+            self.params[f"head_w{i}"], self.params[f"head_b{i}"] = layer_params(rng, shape)
         self.project_unit_norm()
 
     def project_unit_norm(self):
@@ -193,7 +189,7 @@ class DcaModel:
         dropped = dropout(hidden, self.head.dropout_rate, training, rng)
         return dense(dropped, self.params["head_w2"], self.params["head_b2"])
 
-    # unused by dcan; perfbench's tracer patches it by name until ROADMAP item 2 lands
+    # unused by dcan; perfbench's tracer patches it by name until ROADMAP item 4 removes it
     def head_forward(self, f_dca: Tensor, training: bool = False,
                      rng: np.random.Generator | None = None) -> Tensor:
         return softmax_rows(self.head_logits(f_dca, training, rng))
@@ -271,7 +267,12 @@ class DcaModel:
                 raise CheckpointError(path, off, f"blob for {name} has {count} values, "
                                                  f"expected {p.size}")
             off += 8
-            p.data = np.frombuffer(read(off, count * 8, name), dtype="<f8").reshape(p.shape).copy()
+            values = np.frombuffer(read(off, count * 8, name), dtype="<f8")
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise CheckpointError(path, off + 8 * int(bad[0]),
+                                      f"{name} holds a non-finite value")
+            p.data = values.reshape(p.shape).copy()
             off += count * 8
         if off != len(raw):
             raise CheckpointError(path, off, f"{len(raw) - off} trailing bytes")

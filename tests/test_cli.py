@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -69,6 +70,26 @@ class TestEval:
         assert "accuracy=" in capsys.readouterr().out
         lines = (root / "out" / "eval_report.csv").read_text().strip().split("\n")
         assert len(lines) == 3  # header, one fold, summary
+
+    @pytest.mark.parametrize("name, index, value", [("backbone0_w", 0, float("nan")),
+                                                     ("head_b2", -1, float("inf"))])
+    def test_non_finite_checkpoint_is_one_located_line(self, workspace, tmp_path, capsys,
+                                                       name, index, value):
+        root, config_path = workspace
+        model = DcaModel.load(root / "out" / "fold_0.dcam")
+        model.params[name].data.flat[index] = value
+        bad = tmp_path / "bad.dcam"
+        model.save(bad)
+        data = bad.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", data, 8)
+        # the first value of the first blob, or the last value of the last one
+        off = 12 + cfg_len + 8 if index == 0 else len(data) - 8
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config_path), "--checkpoint", str(bad),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"error: CheckpointError: {bad}: byte {off}: "
+                                           f"{name} holds a non-finite value\n")
+        assert not (tmp_path / "out" / "eval_report.csv").exists()
 
     def test_missing_checkpoint_fails(self, workspace, capsys):
         root, config_path = workspace

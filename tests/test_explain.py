@@ -5,7 +5,7 @@ from dcan.attention import DcaConfig, dca_forward
 from dcan.autograd import Tape, Tensor, backward, elementwise, softmax, tsum
 from dcan.explain import (attention_heatmap, export_heatmap, gradcam_map, gradcam_pp,
                           gradcam_weights)
-from dcan.imaging import Image, bilinear, read_ppm
+from dcan.imaging import Image, bilinear_stack, read_ppm
 from dcan.model import BackboneConfig, DcaModel, HeadConfig
 
 
@@ -80,7 +80,7 @@ class TestGradcamModel:
             f_dca, _ = dca_forward(model.backbone_forward(x), model.dca, model.params)
             score = tsum(elementwise("mul", model.head_logits(f_dca), Tensor(onehot)))
         backward(score, tape)
-        up = bilinear(gradcam_map(f_dca.data[0], f_dca.grad[0]), 16)
+        up = bilinear_stack(gradcam_map(f_dca.data[0], f_dca.grad[0])[None], 16)[0]
         np.testing.assert_array_equal(hm, up / up.max())
 
     def test_rejects_batches(self):

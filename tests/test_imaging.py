@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dcan.imaging import (LUMA_BINS, PLAN_CACHE_SIZE, ClaheConfig, Image, ImageFormatError,
-                          _bilinear_plan, _clahe_plan, _equalize, bilinear, bilinear_stack,
+                          _bilinear_plan, _clahe_plan, _equalize, bilinear_stack,
                           clahe, clahe_stack, load_ppm, read_ppm, resize_bilinear,
                           rgb_to_ycbcr, to_uint8, write_ppm, ycbcr_to_rgb)
 
@@ -149,8 +149,9 @@ class TestResize:
 
 
 def bilinear_loop_reference(values, target):
-    """`bilinear` one output pixel at a time, with the same clamped half-pixel
-    source coordinates and the same products and sums in the same order."""
+    """`bilinear_stack` on one image, one output pixel at a time, with the same
+    clamped half-pixel source coordinates and the same products and sums in the
+    same order."""
     h, w = values.shape[:2]
     out = np.empty((target, target, *values.shape[2:]))
     for i in range(target):
@@ -183,7 +184,7 @@ def test_bilinear_bitwise_matches_loop_reference():
     for shape, target in cases + cases[::-1]:  # the revisits hit and miss cached plans
         values = (rng.integers(0, 256, shape, dtype=np.uint8) if len(shape) == 3
                   else rng.random(shape))
-        out = bilinear(values, target)
+        out = bilinear_stack(values[None], target)[0]
         assert out.dtype == np.float64
         assert np.array_equal(out, bilinear_loop_reference(values, target)), (shape, target)
 
@@ -191,8 +192,8 @@ def test_bilinear_bitwise_matches_loop_reference():
 def test_bilinear_plans_are_bounded_and_read_only():
     _bilinear_plan.cache_clear()
     for size in range(1, PLAN_CACHE_SIZE + 3):
-        bilinear(np.zeros((size, size)), 4)
-    bilinear(np.zeros((size, size)), 4)
+        bilinear_stack(np.zeros((1, size, size)), 4)
+    bilinear_stack(np.zeros((1, size, size)), 4)
     info = _bilinear_plan.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, PLAN_CACHE_SIZE + 2, PLAN_CACHE_SIZE)
     plan_arrays_are_read_only(_bilinear_plan(size, size, 4, 1))
@@ -370,7 +371,8 @@ def test_bilinear_stack_matches_each_image_alone(images):
         out = bilinear_stack(stack, target)
         assert out.shape == (images, target, target, *shape[2:])
         for b in range(images):
-            assert np.array_equal(out[b], bilinear(stack[b], target)), (shape, target, b)
+            alone = bilinear_stack(stack[b][None], target)[0]
+            assert np.array_equal(out[b], alone), (shape, target, b)
             assert np.array_equal(out[b], bilinear_loop_reference(stack[b], target))
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from dcan.attention import DcaConfig
 from dcan.autograd import ShapeError, Tape, Tensor, backward, grad_check, softmax
+from dcan.cli import ABLATION_ROWS
 from dcan.model import BackboneConfig, CheckpointError, DcaModel, HeadConfig
 from dcan.optim import AdamWConfig, AdamWState, adamw_step, cross_entropy
 
@@ -166,6 +167,35 @@ class TestUnitNormConstraint:
         np.testing.assert_array_equal(before.data.argmax(axis=1), after.data.argmax(axis=1))
 
 
+class TestInitialisation:
+    @pytest.mark.parametrize("dca", [
+        *(DcaConfig(enable_spatial=s, enable_gated=g, enable_refine=r)
+          for s, g, r in ABLATION_ROWS),
+        DcaConfig(spatial_kernel=5, refine_kernel=1),
+    ], ids=lambda c: (f"{c.enable_spatial:d}{c.enable_gated:d}{c.enable_refine:d}"
+                      f"_k{c.spatial_kernel}{c.refine_kernel}"))
+    def test_every_layer_follows_the_one_rule(self, dca):
+        # each kernel uniform within 1/sqrt(fan_in), the fan-in all axes but the
+        # last; each bias zeros; checkpoint order. unit_norm is off because the
+        # projection rescales the head columns after the draw.
+        model = DcaModel(BackboneConfig(input_size=16, blocks=[(4, 2), (8, 2)], kernel=5), dca,
+                         HeadConfig(hidden_units=6, unit_norm=False), rng=np.random.default_rng(0))
+        branches = ((dca.enable_spatial, "spatial", dca.spatial_kernel),
+                    (dca.enable_gated, "gate", 1),
+                    (dca.enable_refine, "refine", dca.refine_kernel))
+        kernels = {"backbone0_w": (5, 5, 3, 4), "backbone1_w": (5, 5, 4, 8),
+                   **{f"dca_{name}_w": (k, k, 8, 8) for on, name, k in branches if on},
+                   "head_w1": (8, 6), "head_w2": (6, 2)}
+        assert list(model.params) == [n for w in kernels for n in (w, w.replace("_w", "_b"))]
+        for name, shape in kernels.items():
+            kernel, bias = model.params[name], model.params[name.replace("_w", "_b")]
+            bound = 1.0 / np.sqrt(np.prod(shape[:-1]))
+            assert kernel.shape == shape, name
+            assert bound / 2 < np.abs(kernel.data).max() <= bound, name
+            assert bias.shape == (shape[-1],) and not bias.data.any(), name
+            assert kernel.requires_grad and bias.requires_grad, name
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         model = small_model(seed=20)
@@ -182,6 +212,22 @@ class TestCheckpoint:
         path = tmp_path / "bad.dcam"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
+            DcaModel.load(path)
+
+    @pytest.mark.parametrize("name, index, value", [("backbone0_w", 0, np.nan),
+                                                     ("head_b2", -1, np.inf)])
+    def test_non_finite_value_raises_located_error(self, tmp_path, name, index, value):
+        model = small_model()
+        path = tmp_path / "model.dcam"
+        model.save(path)
+        data = bytearray(path.read_bytes())
+        (cfg_len,) = struct.unpack_from("<I", data, 8)
+        # the first value of the first blob, or the last value of the last one
+        off = 12 + cfg_len + 8 if index == 0 else len(data) - 8
+        struct.pack_into("<d", data, off, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: byte {off}: {name} holds a non-finite value")):
             DcaModel.load(path)
 
     def test_truncated_rejected(self, tmp_path):

@@ -5,10 +5,14 @@ Usage: python3 tools/output_digest.py <src_dir>
 
 Runs gen -> train -> eval -> ablate -> explain (abnormal_00000, normal_00063)
 -> gradcheck with the `dcan` package found in <src_dir>, in a fresh temporary
-directory, on a 64-image corpus trained for 2 epochs over 2 folds. Then it
-generates a 32-image corpus of 128 px images into data128/ and runs eval and
-explain (abnormal_00000) on it with fold_0.dcam into out128/, so the 128 -> 64
-px downsampling of larger frames is covered too. Last, it writes P5 (gray)
+directory, on a 64-image corpus trained for 2 epochs over 2 folds. Between
+ablate and explain it also trains a spatial-only and a gated-only model on
+that corpus (1 epoch, 2 folds) into out_spatial/ and out_gated/: ablate
+writes only 6-decimal metrics, so these checkpoints are what show every bit
+of the single-branch models' initialisation and training. Then it generates
+a 32-image corpus of 128 px images into data128/ and runs eval and explain
+(abnormal_00000) on it with fold_0.dcam into out128/, so the 128 -> 64 px
+downsampling of larger frames is covered too. Last, it writes P5 (gray)
 copies of the first GRAY_PER_CLASS 64 px images of each class into
 data_gray/, from their green channel and named `.ppm` as `load_dataset`
 expects. It runs eval and explain (abnormal_00000) on them with fold_0.dcam,
@@ -45,6 +49,12 @@ CONFIGS = {
                  "data", "out"),
     "run128.json": ({"synthetic": {"count": 32, "size": 128, "seed": 0}}, "data128", "out128"),
     "run_gray.json": ({"epochs": 1, "k_folds": 2}, "data_gray", "out_gray"),
+    "run_spatial.json": ({"epochs": 1, "k_folds": 2,
+                          "dca": {"enable_gated": False, "enable_refine": False}},
+                         "data", "out_spatial"),
+    "run_gated.json": ({"epochs": 1, "k_folds": 2,
+                        "dca": {"enable_spatial": False, "enable_refine": False}},
+                       "data", "out_gated"),
 }
 EXPLAINED = ["abnormal/abnormal_00000.ppm", "normal/normal_00063.ppm"]
 GRAY_PER_CLASS = 5  # gray copies per class: 10 images span three preprocessing chunks
@@ -63,6 +73,8 @@ def _commands(tmp: Path) -> list[tuple[str, list[str]]]:
     checkpoint = ["--checkpoint", str(tmp / "out" / "fold_0.dcam")]
     steps = [("gen", ["gen", *config]), ("train", ["train", *config]),
              ("eval", ["eval", *config, *checkpoint]), ("ablate", ["ablate", *config])]
+    steps += [(f"train_{branch}", ["train", "--config", str(tmp / f"run_{branch}.json")])
+              for branch in ("spatial", "gated")]
     steps += [_explain(tmp, "explain", config, checkpoint, "data", "out", rel) for rel in EXPLAINED]
     steps.append(("gradcheck", ["gradcheck", *config]))
     steps += [("gen128", ["gen", *config128]), ("eval128", ["eval", *config128, *checkpoint])]
