@@ -43,7 +43,7 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = g  # kept as handed over: an op passes an array that nothing else holds
+            self.grad = g  # kept as handed over: see `_record`
         else:
             self.grad += g
 
@@ -82,11 +82,26 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
-def _record(output: Tensor, inputs, backward_fn):
-    if _TAPE_STACK and any(t.requires_grad for t in inputs):
-        output.requires_grad = True
-        _TAPE_STACK[-1].nodes.append(_Node(output, backward_fn))
-    return output
+def _record(data, *rules) -> Tensor:
+    """The op output `Tensor(data)`, recorded on the open tape when an input needs a gradient.
+
+    `rules` are (input, rule) pairs. The node's backward accumulates `rule(g)`
+    into each input that needs a gradient, in the order given; `rule(g)` must
+    return an array that nothing else holds, because a first gradient is
+    stored by reference.
+    """
+    out = Tensor(data)
+    if _TAPE_STACK:
+        live = [pair for pair in rules if pair[0].requires_grad]
+        if live:
+            out.requires_grad = True
+
+            def backward_fn(g):
+                for t, rule in live:
+                    t.accumulate_grad(rule(g))
+
+            _TAPE_STACK[-1].nodes.append(_Node(out, backward_fn))
+    return out
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -155,33 +170,29 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     flat = _windows(_bordered(x.data, pt, pb, pl, pr), 0, 0, ho, wo, kh, kw, stride)
     y = flat @ kernel.data.reshape(kh * kw * cin, cout)
     y += bias.data
-    out = Tensor(y.reshape(n, ho, wo, cout))
 
-    def bwd(g):
-        gflat = g.reshape(n * ho * wo, cout)
-        if kernel.requires_grad:
-            kernel.accumulate_grad((flat.T @ gflat).reshape(kernel.shape))
-        if bias.requires_grad:
-            bias.accumulate_grad(gflat.sum(axis=0))
-        if x.requires_grad:
-            # phase (r, c) of dx, rows r, r + stride, ... by cols c, c + stride, ..., takes only
-            # the taps ti, ti + stride, ... by tj, tj + stride, ...: one stride-1 correlation of
-            # g with those taps flipped. g's zero border, most taps per phase - 1, holds them all.
-            bh, bw = -(-kh // stride) - 1, -(-kw // stride) - 1
-            gz = _bordered(g, bh, bh, bw, bw)
-            dx = np.empty_like(x.data)
-            for r in range(min(stride, h)):
-                for c in range(min(stride, w)):
-                    ti, tj = (r + pt) % stride, (c + pl) % stride
-                    kf = kernel.data[ti::stride, tj::stride][::-1, ::-1].swapaxes(2, 3)
-                    (u, v), phase = kf.shape[:2], dx[:, r::stride, c::stride]
-                    sr = bh + (r + pt) // stride - u + 1 if u else 0  # no tap: reads nothing
-                    sc = bw + (c + pl) // stride - v + 1 if v else 0
-                    win = _windows(gz, sr, sc, *phase.shape[1:3], u, v, 1)
-                    phase[...] = (win @ kf.reshape(-1, cin)).reshape(phase.shape)
-            x.accumulate_grad(dx)
+    def dx(g):
+        # phase (r, c) of dx, rows r, r + stride, ... by cols c, c + stride, ..., takes only
+        # the taps ti, ti + stride, ... by tj, tj + stride, ...: one stride-1 correlation of
+        # g with those taps flipped. g's zero border, most taps per phase - 1, holds them all.
+        bh, bw = -(-kh // stride) - 1, -(-kw // stride) - 1
+        gz = _bordered(g, bh, bh, bw, bw)
+        grad = np.empty_like(x.data)
+        for r in range(min(stride, h)):
+            for c in range(min(stride, w)):
+                ti, tj = (r + pt) % stride, (c + pl) % stride
+                kf = kernel.data[ti::stride, tj::stride][::-1, ::-1].swapaxes(2, 3)
+                (u, v), phase = kf.shape[:2], grad[:, r::stride, c::stride]
+                sr = bh + (r + pt) // stride - u + 1 if u else 0  # no tap: reads nothing
+                sc = bw + (c + pl) // stride - v + 1 if v else 0
+                win = _windows(gz, sr, sc, *phase.shape[1:3], u, v, 1)
+                phase[...] = (win @ kf.reshape(-1, cin)).reshape(phase.shape)
+        return grad
 
-    return _record(out, (x, kernel, bias), bwd)
+    return _record(y.reshape(n, ho, wo, cout),
+                   (kernel, lambda g: (flat.T @ g.reshape(len(flat), cout)).reshape(kernel.shape)),
+                   (bias, lambda g: g.reshape(len(flat), cout).sum(axis=0)),
+                   (x, dx))
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -191,27 +202,15 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     n, din = x.shape
     if weight.shape[0] != din:
         raise ShapeError(f"dense feature axis mismatch: input has {din}, weight expects {weight.shape[0]}")
-    out = Tensor(x.data @ weight.data + bias.data)
-
-    def bwd(g):
-        if weight.requires_grad:
-            weight.accumulate_grad(x.data.T @ g)
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=0))
-        if x.requires_grad:
-            x.accumulate_grad(g @ weight.data.T)
-
-    return _record(out, (x, weight, bias), bwd)
+    return _record(x.data @ weight.data + bias.data,
+                   (weight, lambda g: x.data.T @ g),
+                   (bias, lambda g: g.sum(axis=0)),
+                   (x, lambda g: g @ weight.data.T))
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
     mask = x.data > 0.0  # relu'(0) := 0
-
-    def bwd(g):
-        x.accumulate_grad(g * mask)
-
-    return _record(out, (x,), bwd)
+    return _record(np.maximum(x.data, 0.0), (x, lambda g: g * mask))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -219,12 +218,7 @@ def sigmoid(x: Tensor) -> Tensor:
     d = x.data
     e = np.exp(-np.abs(d))
     s = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = Tensor(s)
-
-    def bwd(g):
-        x.accumulate_grad(g * s * (1.0 - s))
-
-    return _record(out, (x,), bwd)
+    return _record(s, (x, lambda g: g * s * (1.0 - s)))
 
 
 def softmax(z: np.ndarray, axis: int) -> np.ndarray:
@@ -239,14 +233,13 @@ def spatial_softmax(x: Tensor) -> Tensor:
         raise ShapeError(f"spatial_softmax input must be rank 4, got rank {x.data.ndim}")
     n, h, w, c = x.shape
     s = softmax(x.data.reshape(n, h * w, c), axis=1)
-    out = Tensor(s.reshape(n, h, w, c))
 
-    def bwd(g):
+    def dx(g):
         gf = g.reshape(n, h * w, c)
         dot = (gf * s).sum(axis=1, keepdims=True)
-        x.accumulate_grad((s * (gf - dot)).reshape(n, h, w, c))
+        return (s * (gf - dot)).reshape(n, h, w, c)
 
-    return _record(out, (x,), bwd)
+    return _record(s.reshape(n, h, w, c), (x, dx))
 
 
 # unused by dcan; perfbench's tracer patches it by name until ROADMAP item 4 removes it
@@ -255,13 +248,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"softmax_rows input must be rank 2, got rank {x.data.ndim}")
     s = softmax(x.data, axis=1)
-    out = Tensor(s)
-
-    def bwd(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
-        x.accumulate_grad(s * (g - dot))
-
-    return _record(out, (x,), bwd)
+    return _record(s, (x, lambda g: s * (g - (g * s).sum(axis=1, keepdims=True))))
 
 
 def elementwise(op: str, a: Tensor, b: Tensor) -> Tensor:
@@ -269,24 +256,10 @@ def elementwise(op: str, a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"elementwise {op}: shape mismatch {a.shape} vs {b.shape}")
     if op == "mul":
-        out = Tensor(a.data * b.data)
-
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(g * b.data)
-            if b.requires_grad:
-                b.accumulate_grad(g * a.data)
-    elif op == "add":
-        out = Tensor(a.data + b.data)
-
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(g.copy())
-            if b.requires_grad:
-                b.accumulate_grad(g.copy())
-    else:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    return _record(out, (a, b), bwd)
+        return _record(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
+    if op == "add":
+        return _record(a.data + b.data, (a, np.ndarray.copy), (b, np.ndarray.copy))
+    raise ValueError(f"unknown elementwise op {op!r}")
 
 
 def global_average_pool(x: Tensor) -> Tensor:
@@ -294,12 +267,8 @@ def global_average_pool(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"global_average_pool input must be rank 4, got rank {x.data.ndim}")
     n, h, w, c = x.shape
-    out = Tensor(x.data.mean(axis=(1, 2)))
-
-    def bwd(g):
-        x.accumulate_grad(np.broadcast_to(g[:, None, None, :] / (h * w), x.shape).copy())
-
-    return _record(out, (x,), bwd)
+    return _record(x.data.mean(axis=(1, 2)),
+                   (x, lambda g: np.broadcast_to(g[:, None, None, :] / (h * w), x.shape).copy()))
 
 
 def dropout(x: Tensor, rate: float, training: bool,
@@ -308,31 +277,16 @@ def dropout(x: Tensor, rate: float, training: bool,
     if rate >= 1.0 or rate < 0.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        out = Tensor(x.data)
-
-        def bwd(g):
-            x.accumulate_grad(g.copy())
-
-        return _record(out, (x,), bwd)
+        return _record(x.data, (x, np.ndarray.copy))
     if rng is None:
         raise ValueError("dropout in training mode requires a seeded generator")
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    out = Tensor(x.data * mask)
-
-    def bwd(g):
-        x.accumulate_grad(g * mask)
-
-    return _record(out, (x,), bwd)
+    return _record(x.data * mask, (x, lambda g: g * mask))
 
 
 def tsum(x: Tensor) -> Tensor:
     """Sum of all elements (scalar)."""
-    out = Tensor(x.data.sum())
-
-    def bwd(g):
-        x.accumulate_grad(np.full(x.shape, float(g)))
-
-    return _record(out, (x,), bwd)
+    return _record(x.data.sum(), (x, lambda g: np.full(x.shape, float(g))))
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +314,16 @@ def grad_check(model_fn, params: dict[str, Tensor], h: float = 1e-5,
     report = {}
     for name, p in params.items():
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        flat = p.data.ravel()
         worst = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        for i in np.ndindex(p.shape):  # C order; perturbs p.data itself, contiguous or not
+            orig = p.data[i]
+            p.data[i] = orig + h
             fp = float(model_fn().data)
-            flat[i] = orig - h
+            p.data[i] = orig - h
             fm = float(model_fn().data)
-            flat[i] = orig
+            p.data[i] = orig
             numeric = (fp - fm) / (2.0 * h)
-            a = analytic.ravel()[i]
+            a = analytic[i]
             rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, rel)
         report[name] = worst

@@ -39,12 +39,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     n = y.shape[0]
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out = Tensor(-(y * log_p).sum() / n)
-
-    def bwd(g):
-        logits.accumulate_grad(float(g) * (softmax(logits.data, axis=1) - y) / n)
-
-    return _record(out, (logits,), bwd)
+    return _record(-(y * log_p).sum() / n,
+                   (logits, lambda g: float(g) * (softmax(logits.data, axis=1) - y) / n))
 
 
 class AdamWState:

@@ -172,8 +172,11 @@ class TestDcaForward:
         _, m2 = dca_forward(Tensor(f2), config, params)
         assert not np.array_equal(m1["f_s"].data, m2["f_s"].data)
 
-    def test_end_to_end_grad_check(self):
-        config = DcaConfig()
+    # the single-branch rows alias f_c to f_s or f_g
+    @pytest.mark.parametrize("row", ABLATION_ROWS, ids=lambda row: "".join(f"{b:d}" for b in row))
+    def test_end_to_end_grad_check(self, row):
+        spatial, gated, refine = row
+        config = DcaConfig(enable_spatial=spatial, enable_gated=gated, enable_refine=refine)
         params = make_params(config, 4, seed=19)
         f = Tensor(np.random.default_rng(20).standard_normal((1, 8, 8, 4)))
 

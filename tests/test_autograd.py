@@ -4,7 +4,8 @@ import pytest
 from dcan.autograd import (ShapeError, Tape, Tensor, backward,
                            conv2d, dense, dropout, elementwise,
                            global_average_pool, grad_check, relu, sigmoid,
-                           spatial_softmax, tsum)
+                           softmax_rows, spatial_softmax, tsum)
+from dcan.optim import cross_entropy
 
 
 def _pad_same(x, kh, kw, stride):
@@ -86,6 +87,15 @@ def numeric_grad(f, x, h=1e-5):
         flat[i] = orig
         g.ravel()[i] = (fp - fm) / (2 * h)
     return g
+
+
+def backprop(op, inputs, g):
+    """op(*inputs) run on a tape, with the upstream gradient g backpropagated into it."""
+    with Tape() as tape:
+        out = op(*inputs)
+        loss = tsum(elementwise("mul", out, Tensor(g)))
+    backward(loss, tape)
+    return out
 
 
 def analytic_grad(op, x_data, weight=None):
@@ -197,6 +207,22 @@ class TestDense:
         np.testing.assert_allclose(dense(Tensor(x), Tensor(w), Tensor(b)).data,
                                    expected, atol=1e-12)
 
+    def test_gradients_match_loop_oracle(self):
+        rng = np.random.default_rng(10)
+        x, w, b = rng.standard_normal((4, 5)), rng.standard_normal((5, 3)), rng.standard_normal(3)
+        g = rng.standard_normal((4, 3))
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        backprop(dense, (xt, wt, bt), g)
+        dx, dw, db = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
+        for i in range(4):
+            for j in range(3):
+                db[j] += g[i, j]
+                for m in range(5):
+                    dw[m, j] += x[i, m] * g[i, j]
+                    dx[i, m] += g[i, j] * w[m, j]
+        for got, want in ((xt.grad, dx), (wt.grad, dw), (bt.grad, db)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_rejects_rank3(self):
         with pytest.raises(ShapeError):
             dense(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
@@ -208,6 +234,11 @@ class TestActivations:
 
     def test_relu_definition(self):
         np.testing.assert_array_equal(relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
+
+    def test_relu_gradient_is_zero_at_zero(self):
+        x = Tensor([-1.0, 0.0, 2.0, 0.0], requires_grad=True)
+        backprop(relu, (x,), np.array([3.0, 5.0, 7.0, 11.0]))
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 7.0, 0.0])
 
     def test_sigmoid_gradient_fd(self):
         x = np.array([1.0])
@@ -288,6 +319,17 @@ class TestGlobalAveragePool:
                 expected[n, c] = s / 12
         np.testing.assert_allclose(global_average_pool(Tensor(x)).data, expected, atol=1e-12)
 
+    def test_gradient_is_upstream_over_area(self):
+        g = np.random.default_rng(12).standard_normal((2, 3))
+        x = Tensor(np.zeros((2, 3, 4, 3)), requires_grad=True)
+        backprop(global_average_pool, (x,), g)
+        expected = np.zeros(x.shape)
+        for n in range(2):
+            for i in range(3):
+                for j in range(4):
+                    expected[n, i, j] = g[n] / 12
+        np.testing.assert_array_equal(x.grad, expected)
+
 
 class TestDropout:
     def test_inference_identity(self):
@@ -311,6 +353,87 @@ class TestDropout:
         surviving = (out != 0).mean()
         assert abs(surviving - 0.7) < 0.01
         assert abs(out.mean() - x.mean()) < 0.01 * abs(x.mean())
+
+    def test_training_gradient_is_upstream_times_mask(self):
+        g = np.random.default_rng(13).standard_normal(50)
+        x = Tensor(np.ones(50), requires_grad=True)  # so the output is the mask itself
+        out = backprop(lambda t: dropout(t, 0.4, training=True, rng=np.random.default_rng(1)),
+                       (x,), g)
+        assert 0 < np.count_nonzero(out.data) < 50
+        np.testing.assert_array_equal(x.grad, g * out.data)
+
+    def test_inference_gradient_is_upstream(self):
+        g = np.random.default_rng(14).standard_normal((3, 3))
+        x = Tensor(np.ones((3, 3)), requires_grad=True)
+        backprop(lambda t: dropout(t, 0.5, training=False), (x,), g)
+        np.testing.assert_array_equal(x.grad, g)
+
+
+# every tape op, as (op, input shapes), with the inputs in the op's argument order
+TAPE_OPS = {
+    "conv2d": (conv2d, [(2, 5, 5, 3), (3, 3, 3, 2), (2,)]),
+    "conv2d_stride2": (lambda x, k, b: conv2d(x, k, b, stride=2), [(1, 5, 4, 2), (3, 3, 2, 2), (2,)]),
+    "dense": (dense, [(4, 5), (5, 3), (3,)]),
+    "relu": (relu, [(2, 3)]),
+    "sigmoid": (sigmoid, [(2, 3)]),
+    "spatial_softmax": (spatial_softmax, [(2, 3, 3, 2)]),
+    "softmax_rows": (softmax_rows, [(3, 4)]),
+    "elementwise_mul": (lambda a, b: elementwise("mul", a, b), [(2, 3), (2, 3)]),
+    "elementwise_add": (lambda a, b: elementwise("add", a, b), [(2, 3), (2, 3)]),
+    "global_average_pool": (global_average_pool, [(2, 3, 3, 4)]),
+    "dropout_training": (lambda x: dropout(x, 0.5, training=True, rng=np.random.default_rng(0)),
+                         [(4, 5)]),
+    "dropout_inference": (lambda x: dropout(x, 0.5, training=False), [(4, 5)]),
+    "tsum": (tsum, [(2, 3)]),
+    "cross_entropy": (lambda z: cross_entropy(z, np.eye(3)[[0, 2]]), [(2, 3)]),
+}
+
+
+def op_inputs(shapes, requires_grad):
+    rng = np.random.default_rng(15)
+    return [Tensor(rng.standard_normal(shape), requires_grad=requires_grad) for shape in shapes]
+
+
+class TestRecord:
+    @pytest.mark.parametrize("name", TAPE_OPS)
+    def test_gradients_share_no_memory(self, name):
+        # a first gradient is stored by reference, so each must be an array of its own
+        op, shapes = TAPE_OPS[name]
+        inputs = op_inputs(shapes, requires_grad=True)
+        g = np.random.default_rng(16).standard_normal(op(*inputs).shape)
+        out = backprop(op, inputs, g)
+        for i, t in enumerate(inputs):
+            assert t.grad is not None and t.grad.shape == t.shape
+            assert not np.shares_memory(t.grad, out.grad)
+            for other in inputs[:i]:
+                assert not np.shares_memory(t.grad, other.grad)
+
+    @pytest.mark.parametrize("name", TAPE_OPS)
+    def test_no_input_needs_a_gradient_records_nothing(self, name):
+        op, shapes = TAPE_OPS[name]
+        with Tape() as tape:
+            out = op(*op_inputs(shapes, requires_grad=False))
+        assert tape.nodes == [] and not out.requires_grad
+
+    def test_conv2d_constant_image_gets_no_gradient(self):
+        x, k, b = op_inputs([(1, 4, 4, 2), (3, 3, 2, 2), (2,)], requires_grad=True)
+        x.requires_grad = False
+        backprop(conv2d, (x, k, b), np.ones((1, 4, 4, 2)))
+        assert x.grad is None and k.grad is not None and b.grad is not None
+
+    def test_dense_constant_weight_gets_no_gradient(self):
+        x, w, b = op_inputs([(4, 5), (5, 3), (3,)], requires_grad=True)
+        w.requires_grad = False
+        backprop(dense, (x, w, b), np.ones((4, 3)))
+        assert w.grad is None and x.grad is not None and b.grad is not None
+
+    @pytest.mark.parametrize("op", ["mul", "add"])
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_elementwise_constant_operand_gets_no_gradient(self, op, constant):
+        inputs = op_inputs([(2, 3), (2, 3)], requires_grad=True)
+        inputs[constant].requires_grad = False
+        backprop(lambda a, b: elementwise(op, a, b), inputs, np.ones((2, 3)))
+        assert inputs[constant].grad is None and inputs[1 - constant].grad is not None
 
 
 class TestBackward:
@@ -396,3 +519,16 @@ class TestGradCheck:
 
         report = grad_check(f, {"k": k, "b": b}, tol=1e-6)
         assert report["passed"], report
+
+    def test_non_contiguous_parameter(self):
+        # a transposed view: perturbing a raveled copy would leave the model unchanged
+        w = Tensor(np.arange(1.0, 7.0).reshape(2, 3).T, requires_grad=True)
+        c = Tensor(np.arange(6.0).reshape(3, 2))
+        assert not w.data.flags.c_contiguous
+
+        def f():
+            return tsum(elementwise("mul", elementwise("mul", w, w), c))
+
+        report = grad_check(f, {"w": w})
+        assert report["passed"], report
+        assert report["max_relative_error"] < 1e-8

@@ -19,6 +19,14 @@ expects. It runs eval and explain (abnormal_00000) on them with fold_0.dcam,
 and a 1-epoch train whose checkpoints hold every bit of the preprocessed gray
 arrays, into out_gray/, so the gray paths of preprocessing are covered too.
 
+For each EXPLAINED image it also runs GRADIENT_PROBE with fold_0.dcam, which
+writes the raw float64 bytes of `gradcam_pp`'s saliency array and of
+`maps["f_dca"].grad` into out/explain_raw/<stem>/. `dcan explain` is the only
+command whose backward runs at training=False, through the inference dropout
+node, `tsum` and the one-hot `mul`, yet its results otherwise reach the digest
+only as 8-bit overlays, and `gradcheck` prints 4 significant digits: a
+gradient that moved in its last bits would pass both.
+
 Prints one `sha256  path` line per output file and per command's stdout (with
 the temporary directory written as `<tmp>`). DCA_THREADS is passed through.
 Two source trees give identical outputs when `diff` finds no difference
@@ -58,6 +66,22 @@ CONFIGS = {
 }
 EXPLAINED = ["abnormal/abnormal_00000.ppm", "normal/normal_00063.ppm"]
 GRAY_PER_CLASS = 5  # gray copies per class: 10 images span three preprocessing chunks
+# argv: config, checkpoint, image, output directory; preprocesses as `dcan explain` does
+GRADIENT_PROBE = """
+import sys
+from pathlib import Path
+from dcan.autograd import Tensor
+from dcan.explain import gradcam_pp
+from dcan.model import DcaModel
+from dcan.train import RunConfig, preprocess_sample
+config, checkpoint, image, out = sys.argv[1:]
+model = DcaModel.load(checkpoint)
+x = preprocess_sample(image, RunConfig.from_json(config).clahe, model.backbone.input_size)
+_, maps, saliency = gradcam_pp(model, Tensor(x[None, ...]))
+Path(out).mkdir(parents=True)
+Path(out, "saliency.f64").write_bytes(saliency.tobytes())
+Path(out, "f_dca_grad.f64").write_bytes(maps["f_dca"].grad.tobytes())
+"""
 
 
 def _explain(tmp: Path, label: str, config: list[str], checkpoint: list[str], data: str,
@@ -120,16 +144,24 @@ def digest(src_dir: Path, threads: int | None = None) -> list[str]:
             (tmp / config_name).write_text(json.dumps(dict(
                 config, data_dir=str(tmp / data), output_dir=str(tmp / out))))
 
-        def run(label: str, argv: list[str]) -> None:
-            proc = subprocess.run([sys.executable, "-m", "dcan.cli", *argv], env=env,
+        def python(label: str, argv: list[str]) -> str:
+            proc = subprocess.run([sys.executable, *argv], env=env,
                                   cwd=tmp, capture_output=True, text=True)
             if proc.returncode != 0:
                 raise SystemExit(f"dcan {label} exited with {proc.returncode}:\n{proc.stderr}")
-            stdout = proc.stdout.replace(str(tmp), "<tmp>").encode("utf-8")
-            lines[f"stdout/{label}"] = hashlib.sha256(stdout).hexdigest()
+            return proc.stdout
+
+        def run(label: str, argv: list[str]) -> None:
+            stdout = python(label, ["-m", "dcan.cli", *argv]).replace(str(tmp), "<tmp>")
+            lines[f"stdout/{label}"] = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
 
         for step in _commands(tmp):
             run(*step)
+        for rel in EXPLAINED:
+            stem = Path(rel).stem
+            python(f"gradient_probe_{stem}", [
+                "-c", GRADIENT_PROBE, str(tmp / "run.json"), str(tmp / "out" / "fold_0.dcam"),
+                str(tmp / "data" / rel), str(tmp / "out" / "explain_raw" / stem)])
         _write_gray_copies(tmp / "data", tmp / "data_gray")
         for step in _gray_commands(tmp):
             run(*step)
