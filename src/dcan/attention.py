@@ -46,15 +46,23 @@ def layer_params(rng: np.random.Generator, shape: tuple[int, ...]) -> tuple[Tens
             Tensor(np.zeros(shape[-1]), requires_grad=True))
 
 
+def dca_layers(config: DcaConfig, d: int) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(kernel name, bias name, kernel shape) of each enabled branch for a
+    `d`-channel feature map, in the order spatial, gate, refine."""
+    return [(f"dca_{name}_w", f"dca_{name}_b", (k, k, d, d))
+            for enabled, name, k in ((config.enable_spatial, "spatial", config.spatial_kernel),
+                                     (config.enable_gated, "gate", 1),
+                                     (config.enable_refine, "refine", config.refine_kernel))
+            if enabled]
+
+
 def init_dca_params(config: DcaConfig, d: int, rng: np.random.Generator) -> dict[str, Tensor]:
-    """The enabled branches' `dca_*` parameters for a `d`-channel feature map,
-    made by `layer_params` in the order spatial, gate, refine."""
+    """The `dca_layers` parameters, made by `layer_params` in that order: a lone
+    block's parameters. The model draws these layers in its own one pass over
+    every layer; perfbench's tracer patches this function by name."""
     params = {}
-    for enabled, name, k in ((config.enable_spatial, "spatial", config.spatial_kernel),
-                             (config.enable_gated, "gate", 1),
-                             (config.enable_refine, "refine", config.refine_kernel)):
-        if enabled:
-            params[f"dca_{name}_w"], params[f"dca_{name}_b"] = layer_params(rng, (k, k, d, d))
+    for w, b, shape in dca_layers(config, d):
+        params[w], params[b] = layer_params(rng, shape)
     return params
 
 

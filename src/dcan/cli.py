@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import tempfile
@@ -146,6 +147,7 @@ def cmd_gradcheck(config: RunConfig) -> None:
     print(f"gradient check passed: max relative error {report['max_relative_error']:.3e}")
 
 
+@functools.cache  # built once per process: building costs far more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dcan",
                                      description="attention-based image classifier pipeline")

@@ -178,6 +178,12 @@ def to_uint8(values: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(values), 0, 255).astype(np.uint8)
 
 
+def to_unit(levels: np.ndarray) -> np.ndarray:
+    """8-bit levels as float64 in [0, 1]: the one inverse of to_uint8. It divides,
+    because multiplying by 1/255 is not the same rounding for every level."""
+    return levels / 255.0
+
+
 def resize_bilinear(img: Image, target: int) -> Image:
     return Image(to_uint8(bilinear_stack(img.pixels[None], target)[0]))  # blends uint8 in float64
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -16,7 +17,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .attention import DcaConfig, dca_forward, init_dca_params, layer_params
+from .attention import DcaConfig, dca_forward, dca_layers, layer_params
 from .autograd import (ShapeError, Tensor, conv2d, dense, dropout, global_average_pool, relu,
                        softmax_rows)
 from .data import CLASS_NAMES, check_floors
@@ -138,6 +139,20 @@ _LEGACY_ENTRIES = {("dca", "channels"): lambda header: header.backbone.feature_c
                    ("head", "num_classes"): lambda header: len(CLASS_NAMES)}
 
 
+def _layers(backbone: BackboneConfig, dca: DcaConfig,
+            head: HeadConfig) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(kernel name, bias name, kernel shape) of every layer, in draw and
+    checkpoint order: backbone, attention branches, head; a bias is as long as
+    its kernel's last axis."""
+    k, cin, layers = backbone.kernel, 3, []
+    for i, (cout, _) in enumerate(backbone.blocks):
+        layers.append((f"backbone{i}_w", f"backbone{i}_b", (k, k, cin, cout)))
+        cin = cout
+    d, units = backbone.feature_channels, head.hidden_units
+    return layers + dca_layers(dca, d) + [("head_w1", "head_b1", (d, units)),
+                                          ("head_w2", "head_b2", (units, len(CLASS_NAMES)))]
+
+
 class DcaModel:
     """Backbone -> attention block -> head, with a flat named parameter dict."""
 
@@ -147,17 +162,8 @@ class DcaModel:
         self.dca = dca
         self.head = head
         self.params: dict[str, Tensor] = {}
-
-        k = backbone.kernel
-        cin = 3
-        for i, (cout, _) in enumerate(backbone.blocks):
-            self.params[f"backbone{i}_w"], self.params[f"backbone{i}_b"] = layer_params(
-                rng, (k, k, cin, cout))
-            cin = cout
-        self.params.update(init_dca_params(dca, backbone.feature_channels, rng))
-        d, units, classes = backbone.feature_channels, head.hidden_units, len(CLASS_NAMES)
-        for i, shape in ((1, (d, units)), (2, (units, classes))):
-            self.params[f"head_w{i}"], self.params[f"head_b{i}"] = layer_params(rng, shape)
+        for w, b, shape in _layers(backbone, dca, head):
+            self.params[w], self.params[b] = layer_params(rng, shape)
         self.project_unit_norm()
 
     def project_unit_norm(self):
@@ -259,20 +265,26 @@ class DcaModel:
                     raise ValueError(f"'{section}.{key}' is {value!r}, not the derived {derived}")
         except ValueError as exc:
             raise CheckpointError(path, 12, f"bad config: {exc}") from None
-        model = cls(header.backbone, header.dca, header.head, rng=np.random.default_rng(0))
+        # built from the header's shapes, not by __init__: every value comes from the file
+        model = cls.__new__(cls)
+        model.backbone, model.dca, model.head = header.backbone, header.dca, header.head
+        model.params = {}
         off = 12 + cfg_len
-        for name, p in model.params.items():
+        layers = _layers(header.backbone, header.dca, header.head)
+        shapes = ((name, shape) for w, b, kernel in layers
+                  for name, shape in ((w, kernel), (b, kernel[-1:])))
+        for name, shape in shapes:
             (count,) = struct.unpack("<Q", read(off, 8, f"length of {name}"))
-            if count != p.size:
+            if count != math.prod(shape):
                 raise CheckpointError(path, off, f"blob for {name} has {count} values, "
-                                                 f"expected {p.size}")
+                                                 f"expected {math.prod(shape)}")
             off += 8
             values = np.frombuffer(read(off, count * 8, name), dtype="<f8")
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:
                 raise CheckpointError(path, off + 8 * int(bad[0]),
                                       f"{name} holds a non-finite value")
-            p.data = values.reshape(p.shape).copy()
+            model.params[name] = Tensor(values.reshape(shape).copy(), requires_grad=True)
             off += count * 8
         if off != len(raw):
             raise CheckpointError(path, off, f"{len(raw) - off} trailing bytes")

@@ -16,7 +16,7 @@ from .attention import DcaConfig
 from .autograd import Tape, Tensor, backward, softmax
 from .data import CLASS_NAMES, Sample, SyntheticConfig, check_floors, kfold_split
 from .imaging import (ClaheConfig, bilinear_stack, clahe, clahe_stack, load_ppm,
-                      resize_bilinear, to_uint8)
+                      resize_bilinear, to_uint8, to_unit)
 from .metrics import EvalReport, FoldMetrics, confusion, metrics
 from .model import BackboneConfig, DcaModel, HeadConfig, parse_config
 from .optim import AdamWConfig, AdamWState, adamw_step, cross_entropy
@@ -63,33 +63,35 @@ STACK_IMAGES = 4
 
 def preprocess_sample(path, clahe_cfg: ClaheConfig, input_size: int) -> np.ndarray:
     """PPM bytes -> CLAHE -> bilinear resize -> float [S,S,3] in [0,1]."""
-    return resize_bilinear(clahe(load_ppm(path), clahe_cfg), input_size).rgb() / 255.0
+    return to_unit(resize_bilinear(clahe(load_ppm(path), clahe_cfg), input_size).rgb())
 
 
 def _preprocess_chunk(samples: list[Sample], clahe_cfg: ClaheConfig,
                       input_size: int) -> np.ndarray:
-    """preprocess_sample of each sample, as one [n, S, S, 3] array: the images
-    of each (height, width, channels) go through the stack kernels together, and
-    a gray result fills all three channels. An image the CLAHE tile grid does
-    not fit raises a ValueError naming the first sample of its geometry."""
+    """The 8-bit levels of preprocess_sample of each sample, as one uint8
+    [n, S, S, 3] array: the images of each (height, width, channels) go through
+    the stack kernels together, and a gray result fills all three channels. An
+    image the CLAHE tile grid does not fit raises a ValueError naming the first
+    sample of its geometry."""
     pixels = [load_ppm(s.path).pixels for s in samples]
     groups: dict[tuple, list[int]] = {}
     for i, px in enumerate(pixels):
         groups.setdefault(px.shape, []).append(i)
-    x = np.empty((len(pixels), input_size, input_size, 3))
+    x = np.empty((len(pixels), input_size, input_size, 3), dtype=np.uint8)
     for idx in groups.values():
         try:
             stack = clahe_stack(np.stack([pixels[i] for i in idx]), clahe_cfg)
         except ValueError as exc:
             raise ValueError(f"{samples[idx[0]].path}: {exc}") from None
-        x[idx] = to_uint8(bilinear_stack(stack, input_size)) / 255.0
+        x[idx] = to_uint8(bilinear_stack(stack, input_size))
     return x
 
 
 def load_arrays(samples: list[Sample], clahe_cfg: ClaheConfig, input_size: int,
                 threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Preprocessed images and labels, in sample order for any thread count. A
-    pool task is a chunk of STACK_IMAGES consecutive samples."""
+    """Preprocessed images as uint8 levels, and labels, in sample order for any
+    thread count: `to_unit(x[i])` is `preprocess_sample` of sample i. A pool task
+    is a chunk of STACK_IMAGES consecutive samples."""
     chunks = [samples[i:i + STACK_IMAGES] for i in range(0, len(samples), STACK_IMAGES)]
     x = np.concatenate(_ordered_map(lambda c: _preprocess_chunk(c, clahe_cfg, input_size),
                                     chunks, threads))
@@ -122,13 +124,25 @@ def _require_finite(loss: Tensor, params: dict[str, Tensor], where: str) -> None
             raise FloatingPointError(f"non-finite gradient of {name} at {where}")
 
 
+def _require_levels(x: np.ndarray) -> None:
+    """Reject images that are not load_arrays' uint8 levels: a float array
+    would be scaled by 1/255 a second time."""
+    if x.dtype != np.uint8:
+        raise TypeError(f"images must be uint8 levels as load_arrays returns, got {x.dtype}")
+
+
 def train_model(x: np.ndarray, y: np.ndarray, config: RunConfig,
                 seed_seq: np.random.SeedSequence) -> DcaModel:
-    """Minibatch AdamW training with per-step unit-norm projection.
+    """Minibatch AdamW training with per-step unit-norm projection, on uint8
+    images `x` scaled to [0, 1] once per call.
 
     Raises FloatingPointError, naming the epoch and the step, as soon as the
     loss or a parameter gradient is not finite.
     """
+    _require_levels(x)
+    # once per call: scaling each batch made every step fault its float64 batch back
+    # in, as small uint8 set-up arrays leave glibc's trim threshold low (ROADMAP item 10)
+    x = to_unit(x)
     init_seq, shuffle_seq, dropout_seq = seed_seq.spawn(3)
     model = build_model(config, init_seq)
     state = AdamWState(model.params)
@@ -153,12 +167,14 @@ def train_model(x: np.ndarray, y: np.ndarray, config: RunConfig,
 
 def predict_proba(model: DcaModel, x: np.ndarray, batch_size: int = 32,
                   threads: int = 1) -> np.ndarray:
-    """Inference probabilities; batches may run on a thread pool, with a
-    deterministic ordered concatenation of results."""
+    """Inference probabilities of uint8 images; batches, each scaled to [0, 1]
+    in its own task, may run on a thread pool, with a deterministic ordered
+    concatenation of results."""
+    _require_levels(x)
     batches = [x[i:i + batch_size] for i in range(0, len(x), batch_size)]
 
     def infer(batch):
-        logits, _ = model.forward(Tensor(batch), training=False)
+        logits, _ = model.forward(Tensor(to_unit(batch)), training=False)
         return softmax(logits.data, axis=1)
 
     return np.concatenate(_ordered_map(infer, batches, threads), axis=0)

@@ -21,7 +21,8 @@ from dcan.autograd import Tensor, conv2d, grad_check
 from dcan.cli import main as cli_main
 from dcan.data import SyntheticConfig, generate_synthetic
 from dcan.explain import gradcam_pp
-from dcan.imaging import LUMA_BINS, ClaheConfig, Image, _equalize, clahe, read_ppm, rgb_to_ycbcr
+from dcan.imaging import (LUMA_BINS, ClaheConfig, Image, _equalize, clahe, read_ppm,
+                          rgb_to_ycbcr, to_unit)
 from dcan.metrics import metrics
 from dcan.model import BackboneConfig, DcaModel, HeadConfig
 from dcan.optim import AdamWConfig, AdamWState, adamw_step, cross_entropy
@@ -280,7 +281,7 @@ def test_explanation_overlap(corpus, trained):
     blob_mass, highlight_mass = [], []
     for i in corpus.test_idx:
         sample = corpus.samples[i]
-        probs, _, hm = gradcam_pp(model, Tensor(corpus.x[i][None]))
+        probs, _, hm = gradcam_pp(model, Tensor(to_unit(corpus.x[i][None])))
         if probs.argmax() != corpus.y[i]:
             continue
         total_mass = hm.sum()

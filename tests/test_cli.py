@@ -1,3 +1,4 @@
+import argparse
 import json
 import struct
 
@@ -148,6 +149,27 @@ class TestExplain:
                      "--image", str(image), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (f"error: ValueError: {image}: "
                                            f"tile grid 2x2 larger than 1x3 image\n")
+
+
+def test_main_reuses_one_parser_for_different_subcommands(workspace, tmp_path, monkeypatch):
+    root, config_path = workspace
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        namespace = parse_args(self, *args, **kwargs)
+        seen.append((self, namespace.command, getattr(namespace, "checkpoint", None)))
+        return namespace
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    gen_config = tmp_path / "config.json"
+    gen_config.write_text(json.dumps(dict(TINY, data_dir=str(tmp_path / "data"))))
+    checkpoint = str(root / "out" / "fold_0.dcam")
+    assert main(["eval", "--config", str(config_path), "--checkpoint", checkpoint]) == 0
+    assert main(["gen", "--config", str(gen_config)]) == 0
+    (first, *_), (second, *_) = seen
+    assert first is second
+    assert [entry[1:] for entry in seen] == [("eval", checkpoint), ("gen", None)]
 
 
 class TestGradcheck:

@@ -208,6 +208,24 @@ class TestCheckpoint:
         x = Tensor(np.random.default_rng(21).random((1, 16, 16, 3)))
         np.testing.assert_array_equal(model.forward(x)[0].data, loaded.forward(x)[0].data)
 
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        # every value comes from the file, so load builds no initialised model
+        model = small_model(seed=22, dropout_rate=0.3)
+        path = tmp_path / "model.dcam"
+        model.save(path)
+
+        def no_draw(*_):
+            raise AssertionError("load drew an initial parameter")
+
+        monkeypatch.setattr("dcan.model.layer_params", no_draw)
+        monkeypatch.setattr("dcan.attention.layer_params", no_draw)
+        loaded = DcaModel.load(path)
+        again = tmp_path / "again.dcam"
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
+        assert list(loaded.params) == list(model.params)
+        assert all(p.requires_grad and p.data.flags.writeable for p in loaded.params.values())
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.dcam"
         path.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dcan.data import Sample, SyntheticConfig, generate_synthetic, load_dataset
-from dcan.imaging import ClaheConfig, Image, ImageFormatError, write_ppm
+from dcan.imaging import ClaheConfig, Image, ImageFormatError, to_unit, write_ppm
 from dcan.metrics import metrics
 from dcan.model import BackboneConfig, HeadConfig, parse_config
 from dcan.autograd import Tensor
@@ -127,8 +127,8 @@ class TestPipeline:
         root, cfg = corpus
         samples = load_dataset(root)
         x, y = load_arrays(samples, cfg.clahe, cfg.backbone.input_size)
-        assert x.shape == (16, 16, 16, 3)
-        assert x.min() >= 0.0 and x.max() <= 1.0
+        assert x.shape == (16, 16, 16, 3) and x.dtype == np.uint8
+        assert 0.0 <= to_unit(x).min() and to_unit(x).max() <= 1.0
         assert set(y) == {0, 1}
 
     def test_load_arrays_threads_identical(self, corpus):
@@ -154,7 +154,8 @@ class TestPipeline:
         cfg = ClaheConfig(tiles=3, clip_limit=2.5)
         x, y = load_arrays(samples, cfg, 20, threads)
         expected = np.stack([preprocess_sample(s.path, cfg, 20) for s in samples])
-        assert x.shape == (len(samples), 20, 20, 3) and np.array_equal(x, expected)
+        assert x.shape == (len(samples), 20, 20, 3) and x.dtype == np.uint8
+        assert np.array_equal(to_unit(x), expected)
         assert y.tolist() == [s.label for s in samples]
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -210,12 +211,32 @@ class TestPipeline:
         parallel = predict_proba(model, x, batch_size=4, threads=4)
         np.testing.assert_array_equal(serial, parallel)
 
-    def test_nan_pixel_stops_training(self, corpus):
+    def test_nan_pixel_stops_training(self, corpus, monkeypatch):
         root, cfg = corpus
         x, y = load_arrays(load_dataset(root), cfg.clahe, cfg.backbone.input_size)
-        x[3, 5, 5, 0] = np.nan
+
+        def scaled_with_nan(levels):  # uint8 holds no NaN: inject it after the scale
+            unit = to_unit(levels)
+            unit[3, 5, 5, 0] = np.nan
+            return unit
+
+        monkeypatch.setattr("dcan.train.to_unit", scaled_with_nan)
         with pytest.raises(FloatingPointError, match="non-finite loss at epoch 0, step "):
             train_model(x, y, cfg, np.random.SeedSequence(0))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_images_that_are_not_uint8_levels_are_rejected(self, corpus, dtype):
+        # a float corpus would be scaled by 1/255 a second time without a word
+        root, cfg = corpus
+        x, y = load_arrays(load_dataset(root), cfg.clahe, cfg.backbone.input_size)
+        model = train_model(x, y, cfg, np.random.SeedSequence(0))
+        wrong = to_unit(x).astype(dtype)
+        message = f"images must be uint8 levels as load_arrays returns, got {np.dtype(dtype)}"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            train_model(wrong, y, cfg, np.random.SeedSequence(0))
+        for threads in (1, 2):
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                predict_proba(model, wrong, threads=threads)
 
 
 def test_each_fold_trains_on_the_rest_and_scores_the_held_out_part(monkeypatch):
